@@ -43,8 +43,8 @@ from .groupcomb import (
     beta_classes,
     check_admissible_decomposition,
     enumerate_index_pairs,
-    euler_phi,
     phi_G,
+    ram_exponent,
 )
 from .moduli import (
     CoverTuple,
@@ -55,6 +55,7 @@ from .moduli import (
     genus_invariance_check,
     sample_space,
 )
+from .numtheory import euler_phi
 
 
 def _load_config(path):
@@ -320,16 +321,12 @@ def check_group_combinatorics():
         )
         for beta in G.all_vectors():
             _require(
-                len(a_beta(G, beta)) * _e_of(G, beta) == G.size,
+                len(a_beta(G, beta)) * ram_exponent(G, beta) == G.size,
                 "groupcomb",
                 "|A_beta| * e(beta) != |G| for %s" % (r,),
             )
         covered = sum(len(cls.members) for cls in beta_classes(G))
         _require(covered == G.size, "groupcomb", "classes do not partition R")
-
-
-def _e_of(G, beta):
-    return math.lcm(*(rj // math.gcd(rj, bj) for rj, bj in zip(G.r, beta)))
 
 
 def check_genus():
@@ -351,7 +348,11 @@ def check_genus():
     for r, raw in cases:
         group = GroupSpec(r)
         dv = degrees_from_json(group, raw)
-        genus_invariance_check(group, dv)
+        _require(
+            genus_invariance_check(group, dv),
+            "genus",
+            "component genera disagree for %s" % (r,),
+        )
 
 
 def check_oracle():
@@ -380,7 +381,11 @@ def check_oracle():
                     "oracle",
                     "count mismatch at x=%s for q=%d r=%s" % (ev.x, q, r),
                 )
-                check_admissible_decomposition(group, ev.pattern)
+                _require(
+                    check_admissible_decomposition(group, ev.pattern),
+                    "oracle",
+                    "inadmissible pattern at x=%s for q=%d r=%s" % (ev.x, q, r),
+                )
 
 
 def check_distribution():

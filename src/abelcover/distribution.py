@@ -2,10 +2,14 @@
 empirical histograms.
 
 Each of the q+1 points of P^1(F_q) contributes an i.i.d. variable taking the
-value |G|/s with probability s*phi_G(s) / (|G|(q+|G|-1)) for s | exp(G),
-s != 1, the value |G| with probability q / (|G|(q+|G|-1)), and 0 with the
-remaining mass.  The total-count law is the exact (q+1)-fold convolution.
-All probabilities are exact rationals; floats appear only in reporting.
+value |G|/s with probability s*phi_G(s) / D for s | exp(G), s != 1, the value
+|G| with probability q / D, and 0 with the remaining mass, where
+D = |G|(q+|G|-1).  The total-count law is the exact (q+1)-fold convolution,
+held as integer weights over D^(q+1): convolution multiplies integer
+polynomials and divides by the common denominator once at the end.  A
+pattern probability is one integer numerator over D^(q+1), and the
+Euler-product interval is kept in integer fixed point.  Fractions are built
+only where values leave the API; floats appear only in reporting.
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .errors import BadField, BadMultiplicity, EmptyHistogram, InternalInconsistency
-from .groupcomb import GroupSpec, beta_classes, divisors, euler_phi, phi_G
+from .groupcomb import GroupSpec, beta_classes, phi_G
+from .numtheory import divisors, euler_phi, moebius
 
 
 @dataclass(frozen=True)
@@ -48,21 +54,21 @@ class Pmf:
         return sum((Fraction(v) * p for v, p in self.probs), Fraction(0))
 
     def convolve(self, other: "Pmf") -> "Pmf":
-        out: dict[int, Fraction] = {}
-        for v, p in self.probs:
-            for w, q in other.probs:
-                out[v + w] = out.get(v + w, Fraction(0)) + p * q
-        return Pmf.from_dict(out)
+        a, a_den = _weights(self)
+        b, b_den = _weights(other)
+        return _from_weights(_poly_mul(a, b), a_den * b_den)
 
     def convolve_power(self, k: int) -> "Pmf":
-        out = Pmf.from_dict({0: Fraction(1)})
-        base = self
-        while k:
-            if k & 1:
-                out = out.convolve(base)
-            base = base.convolve(base)
-            k >>= 1
-        return out
+        base, den = _weights(self)
+        out = {0: 1}
+        e = k
+        while e:
+            if e & 1:
+                out = _poly_mul(out, base)
+            e >>= 1
+            if e:
+                base = _poly_mul(base, base)
+        return _from_weights(out, den**k)
 
     def csv_rows(self) -> list[tuple]:
         return [
@@ -73,6 +79,25 @@ class Pmf:
         return json.dumps(
             {str(v): [p.numerator, p.denominator] for v, p in self.probs}
         )
+
+
+def _weights(pmf: Pmf) -> tuple[dict[int, int], int]:
+    """Integer weights of ``pmf`` over the lcm of its denominators."""
+    den = lcm(*(p.denominator for _, p in pmf.probs))
+    return {v: p.numerator * (den // p.denominator) for v, p in pmf.probs}, den
+
+
+def _from_weights(weights: Mapping[int, int], den: int) -> Pmf:
+    return Pmf.from_dict({v: Fraction(w, den) for v, w in weights.items()})
+
+
+def _poly_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Product of two sparse integer polynomials {exponent: coefficient}."""
+    out: dict[int, int] = {}
+    for v, x in a.items():
+        for w, y in b.items():
+            out[v + w] = out.get(v + w, 0) + x * y
+    return out
 
 
 def _check_field(G: GroupSpec, q: int) -> None:
@@ -88,23 +113,12 @@ def single_point_law(G: GroupSpec, q: int) -> Pmf:
     """The law of the number of points above one x in the large-degree limit."""
     _check_field(G, q)
     size = G.size
+    weights = {size: q}
+    for s in divisors(G.exponent)[1:]:
+        weights[size // s] = weights.get(size // s, 0) + s * phi_G(G, s)
     denom = point_denominator(G, q)
-    probs: dict[int, Fraction] = {}
-    for s in divisors(G.exponent):
-        if s == 1:
-            probs[size] = Fraction(q, denom)
-        else:
-            probs[size // s] = probs.get(size // s, Fraction(0)) + Fraction(
-                s * phi_G(G, s), denom
-            )
-    zero_mass = Fraction(
-        (size - 1) * (q + size)
-        - sum(s * phi_G(G, s) for s in divisors(G.exponent))
-        + 1,
-        denom,
-    )
-    probs[0] = probs.get(0, Fraction(0)) + zero_mass
-    return Pmf.from_dict(probs)
+    weights[0] = denom - sum(weights.values())
+    return _from_weights(weights, denom)
 
 
 def total_law(G: GroupSpec, q: int) -> Pmf:
@@ -131,12 +145,11 @@ def pattern_probability(G: GroupSpec, q: int, multiplicities: Mapping) -> Fracti
         m[rep] = int(mult)
     if sum(m.values()) != q + 1:
         raise BadMultiplicity(f"multiplicities sum to {sum(m.values())}, not q+1")
-    denom = point_denominator(G, q)
     zero = (0,) * G.n
-    out = Fraction(1)
+    num = 1
     for rep, mult in m.items():
         if rep == zero:
-            out *= Fraction(q, denom) ** mult
+            coeff = q
         else:
             e = classes[rep].e
             coeff = e * euler_phi(e)
@@ -144,31 +157,38 @@ def pattern_probability(G: GroupSpec, q: int, multiplicities: Mapping) -> Fracti
                 raise InternalInconsistency(
                     f"e*phi(e) != phi(e^2) for e = {e}"
                 )
-            out *= Fraction(coeff, denom) ** mult
-    return out
+        num *= coeff**mult
+    return Fraction(num, point_denominator(G, q) ** (q + 1))
 
 
 # -- Euler product and size asymptotics ---------------------------------
 
-def _moebius(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def count_irreducibles(q: int, m: int) -> int:
     """Number of monic irreducibles of degree m over F_q (Moebius necklace
     count)."""
-    return sum(_moebius(d) * q ** (m // d) for d in divisors(m)) // m
+    return sum(moebius(d) * q ** (m // d) for d in divisors(m)) // m
+
+
+# Fractional bits of the fixed-point Euler-product interval.
+_BITS = 192
+
+
+def _power_interval(num: int, den: int, e: int) -> tuple[int, int]:
+    """Fixed-point [lo, hi] around (num/den)**e by repeated squaring, every
+    product rounded down for lo and up for hi.  The exact base is rounded only
+    when it first enters a product: once alone and once squared."""
+    lo = hi = 1 << _BITS
+    if e & 1:
+        lo, hi = (num << _BITS) // den, -((-num << _BITS) // den)
+    b_lo = (num * num << _BITS) // (den * den)
+    b_hi = -((-num * num << _BITS) // (den * den))
+    e >>= 1
+    while e:
+        if e & 1:
+            lo, hi = lo * b_lo >> _BITS, -(-hi * b_hi >> _BITS)
+        b_lo, b_hi = b_lo * b_lo >> _BITS, -(-b_hi * b_hi >> _BITS)
+        e >>= 1
+    return lo, hi
 
 
 def euler_L(q: int, n: int, truncation_degree: int) -> tuple[Fraction, Fraction]:
@@ -183,37 +203,19 @@ def euler_L(q: int, n: int, truncation_degree: int) -> tuple[Fraction, Fraction]
         return Fraction(1), Fraction(1)
 
     # The exact partial product has astronomically long numerators, so the
-    # interval is maintained with directed rounding at fixed precision.
-    bits = 192
-    scale = 1 << bits
-
-    def down(x: Fraction) -> Fraction:
-        return Fraction(x.numerator * scale // x.denominator, scale)
-
-    def up(x: Fraction) -> Fraction:
-        return Fraction(-((-x.numerator * scale) // x.denominator), scale)
-
-    def power(base: Fraction, e: int) -> tuple[Fraction, Fraction]:
-        lo, hi = Fraction(1), Fraction(1)
-        b_lo, b_hi = base, base
-        while e:
-            if e & 1:
-                lo, hi = down(lo * b_lo), up(hi * b_hi)
-            b_lo, b_hi = down(b_lo * b_lo), up(b_hi * b_hi)
-            e >>= 1
-        return lo, hi
-
-    partial_lo, partial_hi = Fraction(1), Fraction(1)
+    # interval is kept with directed rounding in _BITS-bit fixed point.
+    partial_lo = partial_hi = 1 << _BITS
     for m in range(1, truncation_degree + 1):
         size = q**m
         pi = count_irreducibles(q, m)
         for j in range(1, n + 1):
-            f_lo, f_hi = power(1 - Fraction(j, (size - 1) * (size + j)), pi)
-            partial_lo = down(partial_lo * f_lo)
-            partial_hi = up(partial_hi * f_hi)
+            den = (size - 1) * (size + j)
+            f_lo, f_hi = _power_interval(den - j, den, pi)
+            partial_lo = partial_lo * f_lo >> _BITS
+            partial_hi = -(-partial_hi * f_hi >> _BITS)
     tail = Fraction(2 * n * (n + 1), q**truncation_degree * (q - 1))
-    lo = partial_lo * (1 - tail) if tail < 1 else Fraction(0)
-    return lo, partial_hi
+    lo = Fraction(partial_lo, 1 << _BITS) * (1 - tail) if tail < 1 else Fraction(0)
+    return lo, Fraction(partial_hi, 1 << _BITS)
 
 
 def zeta_q(q: int, s: int = 2) -> Fraction:

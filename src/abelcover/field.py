@@ -20,6 +20,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import BadOrder, NotPrime, TooLarge
+from .numtheory import prime_factors
 
 TABLE_BUDGET = 1 << 16
 
@@ -31,20 +32,6 @@ def _is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -216,7 +203,7 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         q = self.q
-        primes = _prime_factors(q - 1) if q > 2 else []
+        primes = prime_factors(q - 1) if q > 2 else []
         gen = None
         for g in range(1, q):
             if all(self._raw_pow(g, (q - 1) // ell) != 1 for ell in primes):

@@ -13,38 +13,7 @@ from math import gcd, lcm
 
 from .errors import BadDivisor, BadOrder, DimensionMismatch, InternalInconsistency
 from .field import CharValue
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .numtheory import divisors, euler_phi, prime_factors  # noqa: F401 (re-exported)
 
 
 def _p_part(n: int, p: int) -> int:
@@ -263,7 +232,7 @@ def check_admissible_decomposition(G: GroupSpec, pattern: dict) -> bool:
     ):
         return False
 
-    primes = _prime_divisors(G.exponent)
+    primes = prime_factors(G.exponent)
     for pair, val in pattern.items():
         if val.is_zero:
             continue

@@ -9,7 +9,7 @@ coefficients.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from .errors import FieldMismatch, ZeroPolynomial
 from .field import FieldCtx
@@ -224,18 +224,13 @@ def enumerate_squarefree(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
             yield f
 
 
-def enumerate_coprime_tuples(
-    ctx: FieldCtx,
-    degrees: Mapping,
-    fixed_first: Optional[Polynomial] = None,
-) -> Iterator[dict]:
+def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
     """Tuples of monic squarefree pairwise-coprime polynomials with the
     prescribed degrees, keyed like ``degrees``, each exactly once.
 
     Keys are visited in sorted order; within a key candidates follow the
     enumerate_squarefree order, with incremental gcd rejection against the
-    already-chosen coordinates.  ``fixed_first`` pins the first coordinate,
-    which partitions the stream for parallel consumption.
+    already-chosen coordinates.
     """
     keys = sorted(degrees)
     if not keys:
@@ -246,14 +241,7 @@ def enumerate_coprime_tuples(
         if i == len(keys):
             yield dict(zip(keys, chosen))
             return
-        d = degrees[keys[i]]
-        if i == 0 and fixed_first is not None:
-            candidates = [fixed_first]
-            if fixed_first.degree != d or not is_squarefree(fixed_first):
-                return
-        else:
-            candidates = enumerate_squarefree(ctx, d)
-        for f in candidates:
+        for f in enumerate_squarefree(ctx, degrees[keys[i]]):
             if f.degree >= 1 and any(
                 g.degree >= 1 and poly_gcd(f, g).degree > 0 for g in chosen
             ):

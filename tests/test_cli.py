@@ -203,3 +203,15 @@ def test_verify_catches_broken_counts(monkeypatch):
     failures = cli.run_verification(only="oracle", out=lines.append)
     assert failures == 1
     assert lines[0].startswith("FAIL oracle")
+
+
+def test_verify_fails_on_genus_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "genus_invariance_check", lambda G, dv: False)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL genus" in capsys.readouterr().out
+
+
+def test_verify_fails_on_admissibility_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_admissible_decomposition", lambda G, p: False)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL oracle" in capsys.readouterr().out

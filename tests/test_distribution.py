@@ -28,6 +28,55 @@ from abelcover.groupcomb import GroupSpec
 
 F = Fraction
 
+# every divisor chain (r_1 | r_2 | ...) with product at most 8
+CHAINS_TO_8 = [
+    (2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 2, 2),
+]
+
+
+def _fraction_convolve(a, b):
+    """Reference convolution in plain Fraction arithmetic."""
+    out = {}
+    for v, p in a.items():
+        for w, q in b.items():
+            out[v + w] = out.get(v + w, F(0)) + p * q
+    return {v: p for v, p in out.items() if p}
+
+
+def _fraction_euler_L(q, n, truncation_degree):
+    """Reference Euler-product interval with Fraction directed rounding."""
+    if n == 0:
+        return F(1), F(1)
+    scale = 1 << 192
+
+    def down(x):
+        return F(x.numerator * scale // x.denominator, scale)
+
+    def up(x):
+        return F(-((-x.numerator * scale) // x.denominator), scale)
+
+    def power(base, e):
+        lo, hi = F(1), F(1)
+        b_lo, b_hi = base, base
+        while e:
+            if e & 1:
+                lo, hi = down(lo * b_lo), up(hi * b_hi)
+            b_lo, b_hi = down(b_lo * b_lo), up(b_hi * b_hi)
+            e >>= 1
+        return lo, hi
+
+    partial_lo, partial_hi = F(1), F(1)
+    for m in range(1, truncation_degree + 1):
+        size = q**m
+        pi = count_irreducibles(q, m)
+        for j in range(1, n + 1):
+            f_lo, f_hi = power(1 - F(j, (size - 1) * (size + j)), pi)
+            partial_lo = down(partial_lo * f_lo)
+            partial_hi = up(partial_hi * f_hi)
+    tail = F(2 * n * (n + 1), q**truncation_degree * (q - 1))
+    lo = partial_lo * (1 - tail) if tail < 1 else F(0)
+    return lo, partial_hi
+
 
 def test_hyperelliptic_single_point_law():
     law = single_point_law(GroupSpec((2,)), 5)
@@ -76,6 +125,51 @@ def test_convolve_power_matches_iteration():
         by_hand = by_hand.convolve(base)
     assert base.convolve_power(5) == by_hand
     assert base.convolve_power(1) == base
+
+
+@st.composite
+def _pmfs(draw):
+    """Random pmfs on 0..12: weights over their total reduce to unlike
+    denominators."""
+    values = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
+    weights = draw(
+        st.lists(st.integers(1, 60), min_size=len(values), max_size=len(values))
+    )
+    total = sum(weights)
+    return Pmf.from_dict({v: F(w, total) for v, w in zip(values, weights)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pmfs(), _pmfs(), st.integers(0, 12))
+def test_convolve_power_property(a, b, k):
+    assert a.convolve(b).as_dict() == _fraction_convolve(a.as_dict(), b.as_dict())
+    by_hand = Pmf.from_dict({0: F(1)})
+    for _ in range(k):
+        by_hand = by_hand.convolve(a)
+    assert a.convolve_power(k) == by_hand
+
+
+@pytest.mark.parametrize("r", CHAINS_TO_8)
+def test_total_law_matches_iterated_convolution(r):
+    G = GroupSpec(r)
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        if (q - 1) % G.exponent:
+            continue
+        single = single_point_law(G, q).as_dict()
+        slow = {0: F(1)}
+        for _ in range(q + 1):
+            slow = _fraction_convolve(slow, single)
+        assert total_law(G, q).as_dict() == slow
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("q", [3, 5, 17])
+def test_euler_L_matches_fraction_rounding(q):
+    for n in range(15):
+        for degree in range(9):
+            assert euler_L(q, n, degree) == _fraction_euler_L(q, n, degree)
 
 
 def test_pmf_rejects_bad_mass():
