@@ -29,7 +29,6 @@ from . import field as field_mod
 from . import polyring
 from .counting import count_points, oracle_count, space_count_histogram
 from .distribution import (
-    Pmf,
     compare,
     pattern_probability,
     point_denominator,
@@ -47,12 +46,12 @@ from .groupcomb import (
     ram_exponent,
 )
 from .moduli import (
-    CoverTuple,
-    component_sizes,
+    alpha_map,
     degrees_from_json,
     enumerate_space,
     genus,
     genus_invariance_check,
+    make_cover_tuple,
     sample_space,
 )
 from .numtheory import euler_phi
@@ -98,8 +97,6 @@ def _build_degrees(args, config, group):
     raw = _pick(args, config, "degrees")
     if raw is None:
         raise ValueError("missing --degrees")
-    if isinstance(raw, str):
-        raw = json.loads(raw)
     return degrees_from_json(group, raw)
 
 
@@ -145,12 +142,11 @@ def cmd_count(args, config):
     if isinstance(c, str):
         c = json.loads(c)
     c = tuple(int(x) for x in c)
-    polys = {}
-    for key, coeffs in raw_f.items():
-        alpha = tuple(int(part) for part in str(key).split(","))
-        polys[alpha] = polyring.Polynomial(ctx, [int(x) for x in coeffs])
-    from .moduli import make_cover_tuple
-
+    # Keys are read as --degrees reads them; an unmentioned alpha gets f = 1.
+    polys = {
+        alpha: polyring.Polynomial(ctx, [int(x) for x in coeffs])
+        for alpha, coeffs in alpha_map(group, raw_f, [1]).items()
+    }
     cover = make_cover_tuple(c, polys)
     cover.validate(ctx, group)
     report = count_points(ctx, group, cover)

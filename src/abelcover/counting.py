@@ -13,6 +13,12 @@ is |A_beta| when every surviving value is 1 and 0 otherwise.  An exact
 cyclotomic-integer cross-check confirms the dichotomy against the literal
 root-of-unity sum, and a brute-force y-search oracle confirms it at
 unramified points.
+
+There is one evaluation path: _component_point_data gives, at each of the
+q+1 points, beta_x and per pair the exponent sum_alpha e_alpha dlog f_alpha(x)
+mod ell (None where a factor vanishes), e_alpha = pair_weight(pair, alpha).
+count_points (of which eval_at reads one point) and the bulk histograms add
+the c-part exponent pair_weight(pair, dlog c) to it.
 """
 
 from __future__ import annotations
@@ -20,24 +26,28 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (
-    BudgetExceeded,
+    BadOrder,
+    DimensionMismatch,
     InternalInconsistency,
     MultipleVanishing,
     RamifiedPoint,
 )
-from .field import CharValue, FieldCtx, character
-from .groupcomb import GroupSpec, IndexPair, a_beta, enumerate_index_pairs
-from .moduli import (
-    CoverTuple,
-    DegreeVector,
-    component_degree_maps,
-    space_budget,
-    space_size_bound,
+from .field import CharValue, FieldCtx
+from .groupcomb import (
+    GroupSpec,
+    IndexPair,
+    a_beta,
+    class_of,
+    enumerate_index_pairs,
+    pair_weight,
 )
-from .polyring import Polynomial, enumerate_coprime_tuples
+from .moduli import CoverTuple, DegreeVector, d_vec, space_tuples
+from .numtheory import divisors
+from .polyring import Polynomial
 
 INFINITY = "inf"
 
@@ -90,26 +100,14 @@ class PointCountReport:
         }
 
 
-def pair_exponents(G: GroupSpec, pair: IndexPair) -> dict[tuple[int, ...], int]:
-    """e_alpha for every nonzero alpha, reduced to the least non-negative
-    residue mod ell(s)."""
-    ell = pair.ell
-    return {
-        alpha: sum(
-            ell // sj * wj * aj for sj, wj, aj in zip(pair.s, pair.omega, alpha)
-        )
-        % ell
-        for alpha in G.nonzero_vectors()
-    }
-
-
 def derived_polys(ctx: FieldCtx, G: GroupSpec, t: CoverTuple) -> list[DerivedPolynomial]:
-    """One DerivedPolynomial per index pair; exactly |G| of them."""
+    """One DerivedPolynomial per index pair; exactly |G| of them.  The
+    literal definition, kept as the reference the tests count against."""
     out = []
     polys = t.polys()
     for pair in enumerate_index_pairs(G):
         ell = pair.ell
-        exps = pair_exponents(G, pair)
+        exps = {alpha: pair_weight(pair, alpha) for alpha in G.nonzero_vectors()}
         prod = Polynomial.one(ctx)
         for alpha in sorted(exps):
             e = exps[alpha]
@@ -125,29 +123,27 @@ def derived_polys(ctx: FieldCtx, G: GroupSpec, t: CoverTuple) -> list[DerivedPol
 
 
 def _cyclotomic_poly(n: int) -> list[int]:
-    """Coefficients (low first) of the n-th cyclotomic polynomial over Z."""
-    # x^n - 1 divided by the product of Phi_d for proper divisors d.
+    """Coefficients (low first) of the n-th cyclotomic polynomial over Z:
+    x^n - 1 divided by Phi_d for every proper divisor d of n."""
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = _cyclotomic_poly(d)
-            poly = _exact_div_z(poly, phi_d)
+    for d in divisors(n)[:-1]:
+        poly, rem = _divmod_z(poly, _cyclotomic_poly(d))
+        assert not any(rem), "non-exact cyclotomic division"
     return poly
 
 
-def _exact_div_z(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
+def _divmod_z(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den over Z, low first."""
+    rem = list(num)
     dd = len(den) - 1
     quo = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+        c = rem[i]
         if c:
-            assert den[-1] == 1
             quo[i - dd] = c
             for j, b in enumerate(den):
-                num[i - dd + j] -= c * b
-    assert not any(num), "non-exact cyclotomic division"
-    return quo
+                rem[i - dd + j] -= c * b
+    return quo, rem[:dd]
 
 
 def _cyclotomic_consistent(values, count: int, r_n: int) -> bool:
@@ -160,94 +156,52 @@ def _cyclotomic_consistent(values, count: int, r_n: int) -> bool:
     vec[0] -= count
     if not any(vec):
         return True
-    phi = _cyclotomic_poly(r_n)
-    dd = len(phi) - 1
-    rem = list(vec)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for j, b in enumerate(phi):
-                rem[i - dd + j] -= c * b
-    return not any(rem[:dd])
+    return not any(_divmod_z(vec, _cyclotomic_poly(r_n))[1])
 
 
 def eval_at(
-    ctx: FieldCtx,
-    G: GroupSpec,
-    t: CoverTuple,
-    x,
-    derived: Optional[list[DerivedPolynomial]] = None,
-    check: bool = True,
+    ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x, check: bool = True
 ) -> PointEvaluation:
-    """Value pattern and point count of the cover above x (finite or INFINITY).
-
-    With check=True the A_beta dichotomy is cross-checked against the exact
-    cyclotomic sum of the pattern values.
-    """
-    if derived is None:
-        derived = derived_polys(ctx, G, t)
-    polys = t.polys()
-    if x == INFINITY:
-        d_vec = t.d_vec(G)
-        beta = tuple(-dj % rj for dj, rj in zip(d_vec, G.r))
-        pattern = {}
-        for dp in derived:
-            ell = dp.pair.ell
-            cond = (
-                sum(
-                    ell // sj * wj * dj
-                    for sj, wj, dj in zip(dp.pair.s, dp.pair.omega, d_vec)
-                )
-                % ell
-            )
-            if cond:
-                pattern[dp.pair] = CharValue.zero(ell)
-            else:
-                pattern[dp.pair] = character(ctx, ell, dp.constant)
-    else:
-        vanishing = [alpha for alpha, f in polys.items() if f.evaluate(x) == 0]
-        if len(vanishing) > 1:
-            raise MultipleVanishing(f"{len(vanishing)} polynomials vanish at {x}")
-        beta = vanishing[0] if vanishing else (0,) * G.n
-        values = {alpha: f.evaluate(x) for alpha, f in polys.items()}
-        pattern = {}
-        for dp in derived:
-            ell = dp.pair.ell
-            v = dp.constant
-            for alpha, e in dp.exponents:
-                if e:
-                    v = ctx.mul(v, ctx.pow(values[alpha], e))
-            pattern[dp.pair] = character(ctx, ell, v)
-
-    surviving = a_beta(G, beta)
-    zero_support = {pair for pair, val in pattern.items() if val.is_zero}
-    if zero_support != set(p.pair for p in derived) - surviving:
-        raise InternalInconsistency(
-            f"vanishing pattern at x={x} is not [beta]-admissible"
-        )
-    count = (
-        len(surviving)
-        if all(pattern[pair].is_one for pair in surviving)
-        else 0
-    )
-    if check and not _cyclotomic_consistent(
-        pattern.values(), count, G.exponent
-    ):
-        raise InternalInconsistency(
-            f"cyclotomic sum disagrees with dichotomy count at x={x}"
-        )
-    return PointEvaluation(x, beta, pattern, count)
+    """Value pattern and point count of the cover above x (finite or
+    INFINITY): the entry for x of count_points."""
+    return count_points(ctx, G, t, check=check).points[_point_index(ctx, x)]
 
 
 def count_points(
     ctx: FieldCtx, G: GroupSpec, t: CoverTuple, check: bool = True
 ) -> PointCountReport:
-    """Point count over every x in P^1(F_q) plus the total and Tr(Frob_q)."""
-    derived = derived_polys(ctx, G, t)
-    points = [
-        eval_at(ctx, G, t, x, derived=derived, check=check)
-        for x in [*range(ctx.q), INFINITY]
-    ]
+    """Point count over every x in P^1(F_q) plus the total and Tr(Frob_q).
+    Raises InternalInconsistency where the zero support of a pattern is not
+    the complement of A_beta or, with check=True, where the exact cyclotomic
+    sum of the pattern values disagrees with the A_beta dichotomy."""
+    c_part = _unit_exponents(ctx, G, [t.c])[t.c]
+    data = _component_point_data(ctx, G, t.polys())
+    points = []
+    for x, (beta, exps) in zip([*range(ctx.q), INFINITY], data):
+        pattern = {
+            pair: CharValue.zero(pair.ell)
+            if a is None
+            else CharValue.root(pair.ell, a + c_part[pair])
+            for pair, a in exps.items()
+        }
+        surviving = a_beta(G, beta)
+        zero_support = {pair for pair, val in pattern.items() if val.is_zero}
+        if zero_support != pattern.keys() - surviving:
+            raise InternalInconsistency(
+                f"vanishing pattern at x={x} is not [beta]-admissible"
+            )
+        count = (
+            len(surviving)
+            if all(pattern[pair].is_one for pair in surviving)
+            else 0
+        )
+        if check and not _cyclotomic_consistent(
+            pattern.values(), count, G.exponent
+        ):
+            raise InternalInconsistency(
+                f"cyclotomic sum disagrees with dichotomy count at x={x}"
+            )
+        points.append(PointEvaluation(x, beta, pattern, count))
     total = sum(pt.count for pt in points)
     return PointCountReport(points, total, ctx.q + 1 - total)
 
@@ -267,67 +221,87 @@ def oracle_count(ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x: int) -> int:
     return out
 
 
-# -- bulk harnesses -----------------------------------------------------
+def _point_index(ctx: FieldCtx, x) -> int:
+    """Position of x in the point order 0, 1, ..., q-1, INFINITY."""
+    if x == INFINITY:
+        return ctx.q
+    if x not in range(ctx.q):
+        raise DimensionMismatch(f"{x!r} is not a point of P^1(F_{ctx.q})")
+    return x
 
-def _component_point_data(ctx, G, pairs, pair_exps, polys, degmap):
-    """Per-x data for one polynomial tuple, independent of the leading
-    coefficients: (beta_x, {pair: dlog-exponent or None}) for each of the
-    q+1 points.  The exponent omits the c-part."""
+
+@lru_cache(maxsize=None)
+def _exponent_table(G: GroupSpec) -> tuple:
+    """(pair, ell, ((alpha, e_alpha) for every e_alpha != 0)) per pair."""
+    alphas = G.nonzero_vectors()
+    table = []
+    for pair in enumerate_index_pairs(G):
+        exps = ((alpha, pair_weight(pair, alpha)) for alpha in alphas)
+        table.append((pair, pair.ell, tuple((a, e) for a, e in exps if e)))
+    return tuple(table)
+
+
+def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
+    """(beta_x, {pair: exponent or None}) at the q+1 points 0, ..., q-1,
+    INFINITY.  The exponent is the dlog of prod_alpha f_alpha(x)^(e_alpha)
+    mod ell, None where that is 0, without the c-part; at infinity it is 0,
+    or None when pair_weight(pair, d_vec) != 0."""
     q = ctx.q
+    table = _exponent_table(G)
+    logs = {}
+    for alpha, f in polys.items():
+        values = [f.evaluate(x) for x in range(q)]
+        logs[alpha] = [None if v == 0 else ctx.dlog(v) for v in values]
+    zero = (0,) * G.n
     data = []
-    values = {alpha: [polys[alpha].evaluate(x) for x in range(q)] for alpha in polys}
     for x in range(q):
-        vanishing = [alpha for alpha in polys if values[alpha][x] == 0]
+        vanishing = [alpha for alpha in polys if logs[alpha][x] is None]
         if len(vanishing) > 1:
             raise MultipleVanishing(f"{len(vanishing)} polynomials vanish at {x}")
-        beta = vanishing[0] if vanishing else (0,) * G.n
         exps = {}
-        for pair in pairs:
-            ell = pair.ell
+        for pair, ell, pair_exps in table:
             acc = 0
-            dead = False
-            for alpha, e in pair_exps[pair]:
-                if e:
-                    v = values[alpha][x]
-                    if v == 0:
-                        dead = True
-                        break
-                    acc += e * ctx.dlog(v)
-            exps[pair] = None if dead else acc % ell
-        data.append((beta, exps))
-    d_vec = [0] * G.n
-    for alpha, d in degmap.items():
-        for j, aj in enumerate(alpha):
-            d_vec[j] += aj * d
-    beta_inf = tuple(-dj % rj for dj, rj in zip(d_vec, G.r))
-    exps = {}
-    for pair in pairs:
-        ell = pair.ell
-        cond = (
-            sum(ell // sj * wj * dj for sj, wj, dj in zip(pair.s, pair.omega, d_vec))
-            % ell
-        )
-        exps[pair] = None if cond else 0
-    data.append((beta_inf, exps))
+            for alpha, e in pair_exps:
+                v = logs[alpha][x]
+                if v is None:
+                    acc = None
+                    break
+                acc += e * v
+            exps[pair] = None if acc is None else acc % ell
+        data.append((vanishing[0] if vanishing else zero, exps))
+    d = d_vec(G, {alpha: max(f.degree, 0) for alpha, f in polys.items()})
+    beta_inf = tuple(-dj % rj for dj, rj in zip(d, G.r))
+    inf_exps = {pair: None if pair_weight(pair, d) else 0 for pair, _, _ in table}
+    data.append((beta_inf, inf_exps))
     return data
 
 
-def _c_part_exponents(ctx, G, pairs):
-    """dlog-exponent of c_(s)^(omega) mod ell for every unit vector c."""
+def _unit_exponents(ctx: FieldCtx, G: GroupSpec, units) -> dict:
+    """{c: {pair: dlog of c_(s)^(omega) mod ell}} for each unit vector c.
+    Every counting path calls this first, so it rejects a group whose
+    exponent does not divide q-1 (no characters of that order exist)."""
+    if (ctx.q - 1) % G.exponent:
+        raise BadOrder(f"exp(G) = {G.exponent} does not divide q-1 = {ctx.q - 1}")
+    pairs = enumerate_index_pairs(G)
     out = {}
-    for c in itertools.product(range(1, ctx.q), repeat=G.n):
-        per_pair = {}
-        for pair in pairs:
-            ell = pair.ell
-            per_pair[pair] = (
-                sum(
-                    (ell // sj * wj % ell) * ctx.dlog(cj)
-                    for sj, wj, cj in zip(pair.s, pair.omega, c)
-                )
-                % ell
-            )
-        out[c] = per_pair
+    for c in units:
+        logs = [ctx.dlog(cj) for cj in c]
+        out[c] = {pair: pair_weight(pair, logs) for pair in pairs}
     return out
+
+
+# -- bulk harnesses -----------------------------------------------------
+
+
+def _space_tables(ctx, G, dv, budget):
+    """Tuple walk, c-part exponents and A_beta lists of both bulk histograms."""
+    walk = space_tuples(ctx, G, dv, budget)
+    c_exps = _unit_exponents(ctx, G, itertools.product(range(1, ctx.q), repeat=G.n))
+    a_sets = {
+        beta: sorted(a_beta(G, beta), key=lambda p: (p.s, p.omega))
+        for beta in G.all_vectors()
+    }
+    return walk, c_exps, a_sets
 
 
 def space_count_histogram(
@@ -339,36 +313,23 @@ def space_count_histogram(
     """Histogram of #C(P^1(F_q)) over the full space.
 
     Equivalent to running count_points on every enumerated tuple, but the
-    polynomial evaluations are shared across the leading-coefficient block.
+    point data are shared across the leading-coefficient block.
     """
-    budget = space_budget() if budget is None else budget
-    bound = space_size_bound(ctx, G, dv)
-    if bound > budget:
-        raise BudgetExceeded(bound, budget)
-    pairs = enumerate_index_pairs(G)
-    pair_exps = {
-        pair: tuple(sorted(pair_exponents(G, pair).items())) for pair in pairs
-    }
-    c_exps = _c_part_exponents(ctx, G, pairs)
-    a_sets = {
-        beta: sorted(a_beta(G, beta), key=lambda p: (p.s, p.omega))
-        for beta in G.all_vectors()
-    }
+    walk, c_exps, a_sets = _space_tables(ctx, G, dv, budget)
     hist: Counter = Counter()
-    for tag, degmap in component_degree_maps(G, dv):
-        for polys in enumerate_coprime_tuples(ctx, degmap):
-            data = _component_point_data(ctx, G, pairs, pair_exps, polys, degmap)
-            for c, b in c_exps.items():
-                total = 0
-                for beta, exps in data:
-                    surviving = a_sets[beta]
-                    for pair in surviving:
-                        a = exps[pair]
-                        if a is None or (a + b[pair]) % pair.ell:
-                            break
-                    else:
-                        total += len(surviving)
-                hist[total] += 1
+    for _, polys in walk:
+        data = _component_point_data(ctx, G, polys)
+        for c, b in c_exps.items():
+            total = 0
+            for beta, exps in data:
+                surviving = a_sets[beta]
+                for pair in surviving:
+                    a = exps[pair]
+                    if a is None or (a + b[pair]) % pair.ell:
+                        break
+                else:
+                    total += len(surviving)
+            hist[total] += 1
     return hist
 
 
@@ -381,33 +342,17 @@ def space_pattern_histogram(
 ) -> Counter:
     """Histogram, over the full space, of the value pattern at a fixed x,
     keyed by (class representative of beta, all-surviving-values-are-one)."""
-    from .groupcomb import class_of
-
-    budget = space_budget() if budget is None else budget
-    bound = space_size_bound(ctx, G, dv)
-    if bound > budget:
-        raise BudgetExceeded(bound, budget)
-    pairs = enumerate_index_pairs(G)
-    pair_exps = {
-        pair: tuple(sorted(pair_exponents(G, pair).items())) for pair in pairs
-    }
-    c_exps = _c_part_exponents(ctx, G, pairs)
-    a_sets = {
-        beta: sorted(a_beta(G, beta), key=lambda p: (p.s, p.omega))
-        for beta in G.all_vectors()
-    }
+    idx = _point_index(ctx, x)
+    walk, c_exps, a_sets = _space_tables(ctx, G, dv, budget)
     reps = {beta: class_of(G, beta).representative for beta in G.all_vectors()}
     hist: Counter = Counter()
-    idx = ctx.q if x == INFINITY else x
-    for tag, degmap in component_degree_maps(G, dv):
-        for polys in enumerate_coprime_tuples(ctx, degmap):
-            data = _component_point_data(ctx, G, pairs, pair_exps, polys, degmap)
-            beta, exps = data[idx]
-            surviving = a_sets[beta]
-            for c, b in c_exps.items():
-                all_one = all(
-                    exps[pair] is not None and (exps[pair] + b[pair]) % pair.ell == 0
-                    for pair in surviving
-                )
-                hist[(reps[beta], all_one)] += 1
+    for _, polys in walk:
+        beta, exps = _component_point_data(ctx, G, polys)[idx]
+        surviving = a_sets[beta]
+        for c, b in c_exps.items():
+            all_one = all(
+                exps[pair] is not None and (exps[pair] + b[pair]) % pair.ell == 0
+                for pair in surviving
+            )
+            hist[(reps[beta], all_one)] += 1
     return hist

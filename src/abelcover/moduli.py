@@ -35,10 +35,8 @@ from .polyring import (
 )
 
 DEFAULT_BUDGET = 10_000_000
-
-
-def space_budget() -> int:
-    return int(os.environ.get("ABCOVER_BUDGET", DEFAULT_BUDGET))
+EXACT_BUDGET = 200_000  # sample_space counts component sizes up to this bound
+STALL_LIMIT = 20_000  # rejected candidates per draw before RejectionStall
 
 
 @dataclass(frozen=True)
@@ -57,19 +55,11 @@ class DegreeVector:
 
     @property
     def d_vec(self) -> tuple[int, ...]:
-        out = [0] * self.group.n
-        for alpha, d in self.degrees:
-            for j, aj in enumerate(alpha):
-                out[j] += aj * d
-        return tuple(out)
+        return d_vec(self.group, self.as_dict())
 
     @property
     def total(self) -> int:
         return sum(d for _, d in self.degrees)
-
-    @property
-    def min_degree(self) -> int:
-        return min(d for _, d in self.degrees)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -77,31 +67,45 @@ class DegreeVector:
         )
 
 
-def _parse_alpha(key, n: int) -> tuple[int, ...]:
-    if isinstance(key, str):
-        parts = tuple(int(x) for x in key.split(","))
-    else:
-        parts = tuple(key)
-    if len(parts) != n:
-        raise DimensionMismatch(f"alpha key {key!r} has wrong length for n = {n}")
-    return parts
+def d_vec(G: GroupSpec, degmap: Mapping) -> tuple[int, ...]:
+    """d_j = sum_alpha alpha_j * d(alpha) for a map {alpha: degree}."""
+    out = [0] * G.n
+    for alpha, d in degmap.items():
+        for j, aj in enumerate(alpha):
+            out[j] += aj * d
+    return tuple(out)
+
+
+def alpha_map(G: GroupSpec, raw: Mapping, fill) -> dict:
+    """{alpha: value} over every nonzero exponent vector, unmentioned alphas
+    set to fill.  Keys may be tuples or comma-joined strings (the JSON wire
+    form); one that is not a nonzero exponent vector raises DimensionMismatch.
+    """
+    out = dict.fromkeys(G.nonzero_vectors(), fill)
+    for key, value in raw.items():
+        if isinstance(key, str):
+            alpha = tuple(int(x) for x in key.split(","))
+        else:
+            alpha = tuple(key)
+        if len(alpha) != G.n:
+            raise DimensionMismatch(f"alpha key {key!r} has wrong length for n = {G.n}")
+        if alpha not in out:
+            raise DimensionMismatch(f"{alpha} is not a nonzero exponent vector")
+        out[alpha] = value
+    return out
 
 
 def normalize_degrees(G: GroupSpec, raw: Mapping) -> DegreeVector:
     """Validate a raw degree assignment and fill unmentioned alphas with 0.
 
-    Keys may be tuples or comma-joined strings (the JSON wire form).
-    Raises CongruenceViolation naming the first offending coordinate j.
+    Keys are read by alpha_map.  Raises CongruenceViolation naming the
+    first offending coordinate j.
     """
-    degrees = {alpha: 0 for alpha in G.nonzero_vectors()}
-    for key, d in raw.items():
-        alpha = _parse_alpha(key, G.n)
-        if alpha not in degrees:
-            raise DimensionMismatch(f"{alpha} is not a nonzero exponent vector")
+    degrees = alpha_map(G, raw, 0)
+    for d in degrees.values():
         if d < 0:
             raise CongruenceViolation(0, d, 1)
-        degrees[alpha] = int(d)
-    dv = DegreeVector(G, tuple(sorted(degrees.items())))
+    dv = DegreeVector(G, tuple(sorted((a, int(d)) for a, d in degrees.items())))
     for j, (dj, rj) in enumerate(zip(dv.d_vec, G.r), start=1):
         if dj % rj:
             raise CongruenceViolation(j, dj, rj)
@@ -183,15 +187,11 @@ def genus_invariance_check(G: GroupSpec, dv: DegreeVector) -> bool:
     size = G.size
     expected = genus(G, dv)
     for tag, degmap in component_degree_maps(G, dv):
-        d_vec = [0] * G.n
-        for alpha, d in degmap.items():
-            for j, aj in enumerate(alpha):
-                d_vec[j] += aj * d
         rhs = sum(
             (size - size // ram_exponent(G, alpha)) * d
             for alpha, d in degmap.items()
         )
-        rhs += size - size // ram_exponent(G, tuple(d_vec))
+        rhs += size - size // ram_exponent(G, d_vec(G, degmap))
         if all(d == 0 for d in degmap.values()):
             g = 0
         else:
@@ -213,18 +213,8 @@ class CoverTuple:
     f: tuple[tuple[tuple[int, ...], Polynomial], ...]  # sorted (alpha, poly)
     tag: Optional[tuple[int, ...]] = None
 
-    def poly(self, alpha) -> Polynomial:
-        return dict(self.f)[tuple(alpha)]
-
     def polys(self) -> dict[tuple[int, ...], Polynomial]:
         return dict(self.f)
-
-    def d_vec(self, G: GroupSpec) -> tuple[int, ...]:
-        out = [0] * G.n
-        for alpha, f in self.f:
-            for j, aj in enumerate(alpha):
-                out[j] += aj * max(f.degree, 0)
-        return tuple(out)
 
     def validate(self, ctx: FieldCtx, G: GroupSpec) -> None:
         if len(self.c) != G.n or any(not 1 <= cj < ctx.q for cj in self.c):
@@ -273,39 +263,47 @@ def component_sizes(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> dict:
     }
 
 
+def space_tuples(
+    ctx: FieldCtx,
+    G: GroupSpec,
+    dv: DegreeVector,
+    budget: Optional[int] = None,
+) -> Iterator[tuple[Optional[tuple[int, ...]], dict]]:
+    """(tag, {alpha: f_alpha}) for every polynomial tuple of the space, plain
+    component first, then the dropped components in beta order.  The budget
+    is checked on the call, the components are walked lazily."""
+    if budget is None:
+        budget = int(os.environ.get("ABCOVER_BUDGET", DEFAULT_BUDGET))
+    bound = space_size_bound(ctx, G, dv)
+    if bound > budget:
+        raise BudgetExceeded(bound, budget)
+    return (
+        (tag, polys)
+        for tag, degmap in component_degree_maps(G, dv)
+        for polys in enumerate_coprime_tuples(ctx, degmap)
+    )
+
+
 def enumerate_space(
     ctx: FieldCtx,
     G: GroupSpec,
     dv: DegreeVector,
     budget: Optional[int] = None,
 ) -> Iterator[CoverTuple]:
-    """Every (c, (f_alpha)) of the space exactly once: plain component first,
-    then the dropped components in beta order."""
-    budget = space_budget() if budget is None else budget
-    bound = space_size_bound(ctx, G, dv)
-    if bound > budget:
-        raise BudgetExceeded(bound, budget)
+    """Every (c, (f_alpha)) of the space exactly once, in space_tuples order
+    with the leading coefficients innermost."""
     units = list(range(1, ctx.q))
-    for tag, degmap in component_degree_maps(G, dv):
-        for polys in enumerate_coprime_tuples(ctx, degmap):
-            f = tuple(sorted(polys.items()))
-            for c in itertools.product(units, repeat=G.n):
-                yield CoverTuple(c, f, tag)
-
-
-@dataclass
-class SampleWeights:
-    sizes: dict
-    exact: bool
-    stderr: Optional[dict] = None
+    for tag, polys in space_tuples(ctx, G, dv, budget):
+        f = tuple(sorted(polys.items()))
+        for c in itertools.product(units, repeat=G.n):
+            yield CoverTuple(c, f, tag)
 
 
 def _estimate_component_sizes(
     ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, rng: random.Random, trials: int
-) -> SampleWeights:
+) -> dict:
     units = (ctx.q - 1) ** G.n
     sizes = {}
-    stderr = {}
     for tag, degmap in component_degree_maps(G, dv):
         bound = _component_size_bound(ctx, degmap)
         hits = 0
@@ -314,8 +312,7 @@ def _estimate_component_sizes(
                 hits += 1
         rate = hits / trials
         sizes[tag] = units * bound * rate
-        stderr[tag] = units * bound * (rate * (1 - rate) / trials) ** 0.5
-    return SampleWeights(sizes, exact=False, stderr=stderr)
+    return sizes
 
 
 def _random_polys(ctx: FieldCtx, degmap: dict, rng: random.Random) -> dict:
@@ -344,33 +341,32 @@ def sample_space(
     dv: DegreeVector,
     count: int,
     seed: int,
-    exact_budget: int = 200_000,
-    stall_limit: int = 20_000,
 ) -> Iterator[CoverTuple]:
     """count i.i.d. uniform draws from the space, deterministic under seed.
 
-    Components are weighted by exact sizes when the space is small enough to
-    count, otherwise by rejection-rate estimates; polynomials are then
-    rejection-sampled until squarefree and pairwise coprime.
+    Components are weighted by exact sizes when the space bound is at most
+    EXACT_BUDGET, otherwise by rejection-rate estimates; polynomials are then
+    rejection-sampled until squarefree and pairwise coprime, at most
+    STALL_LIMIT times per draw.
     """
     rng = random.Random(seed)
-    if space_size_bound(ctx, G, dv) <= exact_budget:
-        weights = SampleWeights(component_sizes(ctx, G, dv), exact=True)
+    if space_size_bound(ctx, G, dv) <= EXACT_BUDGET:
+        sizes = component_sizes(ctx, G, dv)
     else:
-        weights = _estimate_component_sizes(ctx, G, dv, rng, trials=2000)
-    tags = sorted(weights.sizes, key=lambda t: (t is not None, t))
-    totals = [weights.sizes[t] for t in tags]
+        sizes = _estimate_component_sizes(ctx, G, dv, rng, trials=2000)
+    tags = sorted(sizes, key=lambda t: (t is not None, t))
+    totals = [sizes[t] for t in tags]
     degmaps = dict(component_degree_maps(G, dv))
     for _ in range(count):
         tag = rng.choices(tags, weights=totals)[0]
         degmap = degmaps[tag]
-        for attempt in range(stall_limit):
+        for attempt in range(STALL_LIMIT):
             polys = _random_polys(ctx, degmap, rng)
             if _accept(polys):
                 break
         else:
             raise RejectionStall(
-                f"no acceptance in {stall_limit} draws for component {tag}"
+                f"no acceptance in {STALL_LIMIT} draws for component {tag}"
             )
         c = tuple(rng.randrange(1, ctx.q) for _ in range(G.n))
         yield CoverTuple(c, tuple(sorted(polys.items())), tag)

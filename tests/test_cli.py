@@ -63,6 +63,43 @@ def test_count_rejects_non_squarefree(capsys):
     assert err
 
 
+def test_count_fills_unmentioned_alphas_with_one(capsys):
+    # y^4 = x + 1 over F_5: f_2 = f_3 = 1.  Four points above x = 0, one
+    # above the branch point x = 4 and one above infinity, which ramifies.
+    code, out, _ = run(
+        capsys, "count", "--p", "5", "--r", "4", "--c", "[1]", "--f", '{"1": [1, 1]}'
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [pt["count"] for pt in payload["points"]] == [4, 0, 0, 0, 1, 1]
+    assert payload["total"] == 6
+
+
+def test_count_rejects_wrong_length_alpha(capsys):
+    code, _, err = run(
+        capsys, "count", "--p", "5", "--r", "2", "--c", "[1]", "--f", '{"1,0": [1, 1]}'
+    )
+    assert code == 2
+    assert "wrong length" in err
+
+
+def test_count_rejects_alpha_outside_group(capsys):
+    code, _, err = run(
+        capsys,
+        "count",
+        "--p",
+        "5",
+        "--r",
+        "2",
+        "--c",
+        "[1]",
+        "--f",
+        '{"1": [1, 1], "3": [2, 1]}',
+    )
+    assert code == 2
+    assert "not a nonzero exponent vector" in err
+
+
 def test_distribution_csv(capsys):
     code, out, _ = run(
         capsys, "distribution", "--p", "5", "--r", "2", "--degrees", '{"1": 4}'

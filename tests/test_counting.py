@@ -1,6 +1,11 @@
 """Tests for the character-sum point count and its brute-force oracle."""
 
+from collections import Counter
+from functools import lru_cache
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from abelcover.counting import (
     INFINITY,
@@ -11,10 +16,22 @@ from abelcover.counting import (
     space_count_histogram,
     space_pattern_histogram,
 )
-from abelcover.errors import MultipleVanishing, RamifiedPoint
-from abelcover.field import make_field
+from abelcover.errors import (
+    BadOrder,
+    DimensionMismatch,
+    MultipleVanishing,
+    RamifiedPoint,
+)
+from abelcover.field import CharValue, character, make_field
 from abelcover.groupcomb import GroupSpec, class_of
-from abelcover.moduli import enumerate_space, make_cover_tuple, normalize_degrees
+from abelcover.moduli import (
+    d_vec,
+    enumerate_space,
+    make_cover_tuple,
+    normalize_degrees,
+    sample_space,
+    space_size_bound,
+)
 from abelcover.polyring import Polynomial
 
 
@@ -143,45 +160,6 @@ def test_hasse_bound_on_elliptic_space(f5):
         assert abs(report.trace) <= 4
 
 
-def test_bulk_histogram_matches_per_cover_counts(f5):
-    G = GroupSpec((2,))
-    dv = normalize_degrees(G, {(1,): 4})
-    from collections import Counter
-
-    slow = Counter(
-        count_points(f5, G, cover, check=False).total
-        for cover in enumerate_space(f5, G, dv)
-    )
-    assert space_count_histogram(f5, G, dv) == slow
-
-
-def test_bulk_histogram_multifactor(f5):
-    G = GroupSpec((2, 2))
-    dv = normalize_degrees(G, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
-    from collections import Counter
-
-    slow = Counter(
-        count_points(f5, G, cover, check=False).total
-        for cover in enumerate_space(f5, G, dv)
-    )
-    assert space_count_histogram(f5, G, dv) == slow
-
-
-def test_pattern_histogram_matches_eval(f5):
-    G = GroupSpec((2,))
-    dv = normalize_degrees(G, {(1,): 2})
-    x = 0
-    from collections import Counter
-
-    slow = Counter()
-    for cover in enumerate_space(f5, G, dv):
-        ev = eval_at(f5, G, cover, x)
-        rep = class_of(G, ev.beta).representative
-        all_one = ev.count > 0
-        slow[(rep, all_one)] += 1
-    assert space_pattern_histogram(f5, G, dv, x) == slow
-
-
 def test_report_serializes(f5):
     G = GroupSpec((2,))
     report = count_points(f5, G, hyper(f5, 1, [1, 0, 1]))
@@ -189,3 +167,123 @@ def test_report_serializes(f5):
     assert payload["total"] == 6
     assert payload["trace"] == 0
     assert len(payload["points"]) == 6
+
+
+def test_eval_rejects_points_outside_the_line(f5):
+    G = GroupSpec((2,))
+    t = hyper(f5, 1, [1, 0, 1])
+    assert eval_at(f5, G, t, INFINITY) == count_points(f5, G, t).points[-1]
+    for x in (-1, 5):
+        with pytest.raises(DimensionMismatch):
+            eval_at(f5, G, t, x)
+    with pytest.raises(DimensionMismatch):
+        space_pattern_histogram(f5, G, normalize_degrees(G, {(1,): 2}), 5)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ctx, G, dv, t: count_points(ctx, G, t),
+        lambda ctx, G, dv, t: space_count_histogram(ctx, G, dv),
+        lambda ctx, G, dv, t: space_pattern_histogram(ctx, G, dv, 0),
+    ],
+    ids=["count_points", "space_count_histogram", "space_pattern_histogram"],
+)
+def test_group_exponent_must_divide_q_minus_one(f7, run):
+    # exp(Z/4) = 4 does not divide 7 - 1: there is no character of order 4.
+    G = GroupSpec((4,))
+    dv = normalize_degrees(G, {(2,): 2})
+    one = Polynomial.one(f7)
+    t = make_cover_tuple(
+        (1,), {(1,): one, (2,): Polynomial(f7, [1, 0, 1]), (3,): one}
+    )
+    with pytest.raises(BadOrder):
+        run(f7, G, dv, t)
+
+
+# (p, k, r, degrees) with exp(G) | q - 1; every group meets every field it fits.
+LITERAL_CASES = [
+    (p, k, r, degrees)
+    for p, k in [(5, 1), (7, 1), (3, 2), (13, 1)]
+    for r, degrees in [
+        ((2,), {(1,): 4}),
+        ((3,), {(1,): 2, (2,): 2}),
+        ((4,), {(1,): 1, (2,): 2, (3,): 1}),
+        ((2, 2), {(1, 0): 2, (0, 1): 2, (1, 1): 2}),
+        ((2, 4), {(1, 1): 1, (1, 3): 1, (1, 2): 2}),
+        ((6,), {(1,): 1, (2,): 1, (3,): 1}),
+    ]
+    if (p**k - 1) % r[-1] == 0
+]
+
+
+@pytest.mark.parametrize(
+    "p,k,r,degrees",
+    LITERAL_CASES,
+    ids=[f"q{p**k}-G{r}" for p, k, r, _ in LITERAL_CASES],
+)
+def test_patterns_match_literal_derived_polynomials(p, k, r, degrees):
+    """Every pattern value of count_points against chi_ell of the multiplied-
+    out derived polynomial: at finite x its value there, at infinity 0 when
+    ell does not divide its degree and chi_ell of its constant otherwise."""
+    ctx = make_field(p, k)
+    G = GroupSpec(r)
+    dv = normalize_degrees(G, degrees)
+    for t in sample_space(ctx, G, dv, 12, seed=p * k):
+        derived = derived_polys(ctx, G, t)
+        for check in (True, False):
+            points = count_points(ctx, G, t, check=check).points
+            for dp in derived:
+                ell = dp.pair.ell
+                for x in range(ctx.q):
+                    value = ctx.mul(dp.constant, dp.poly.evaluate(x))
+                    assert points[x].pattern[dp.pair] == character(ctx, ell, value)
+                if dp.poly.degree % ell:
+                    expect = CharValue.zero(ell)
+                else:
+                    expect = character(ctx, ell, dp.constant)
+                assert points[ctx.q].pattern[dp.pair] == expect
+
+
+@lru_cache(maxsize=None)
+def field_of(q):
+    return make_field(*{3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])
+
+
+@st.composite
+def small_spaces(draw):
+    """(q, r, degrees, x): a random small space and a point of P^1(F_q)."""
+    q = draw(st.sampled_from([3, 5, 7, 9]))
+    groups = [(2,), (3,), (4,), (2, 2), (2, 4), (6,)]
+    r = draw(st.sampled_from([r for r in groups if (q - 1) % r[-1] == 0]))
+    G = GroupSpec(r)
+    alphas = G.nonzero_vectors()
+    degrees = dict.fromkeys(alphas, 0)
+    degrees.update(
+        draw(st.dictionaries(st.sampled_from(alphas), st.integers(1, 2), max_size=2))
+    )
+    # Raising the degree of the j-th unit vector moves d_j alone.
+    for j, (dj, rj) in enumerate(zip(d_vec(G, degrees), r)):
+        degrees[tuple(int(i == j) for i in range(G.n))] += -dj % rj
+    assume(space_size_bound(field_of(q), G, normalize_degrees(G, degrees)) <= 3000)
+    x = draw(st.sampled_from([*range(q), INFINITY]))
+    return q, r, degrees, x
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_spaces())
+@example((5, (2,), {(1,): 4}, 0))
+@example((5, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 0))
+@example((5, (2,), {(1,): 2}, 0))
+def test_bulk_histograms_match_per_cover_counts(space):
+    """Both bulk histograms against per-cover count_points and eval_at."""
+    q, r, degrees, x = space
+    ctx, G = field_of(q), GroupSpec(r)
+    dv = normalize_degrees(G, degrees)
+    counts, patterns = Counter(), Counter()
+    for cover in enumerate_space(ctx, G, dv):
+        counts[count_points(ctx, G, cover, check=False).total] += 1
+        ev = eval_at(ctx, G, cover, x)
+        patterns[(class_of(G, ev.beta).representative, ev.count > 0)] += 1
+    assert space_count_histogram(ctx, G, dv) == counts
+    assert space_pattern_histogram(ctx, G, dv, x) == patterns
