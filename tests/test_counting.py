@@ -160,6 +160,39 @@ def test_hasse_bound_on_elliptic_space(f5):
         assert abs(report.trace) <= 4
 
 
+def test_bulk_histogram_matches_per_cover_counts(f5):
+    G = GroupSpec((2,))
+    dv = normalize_degrees(G, {(1,): 4})
+    slow = Counter(
+        count_points(f5, G, cover, check=False).total
+        for cover in enumerate_space(f5, G, dv)
+    )
+    assert space_count_histogram(f5, G, dv) == slow
+
+
+def test_bulk_histogram_multifactor(f5):
+    G = GroupSpec((2, 2))
+    dv = normalize_degrees(G, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    slow = Counter(
+        count_points(f5, G, cover, check=False).total
+        for cover in enumerate_space(f5, G, dv)
+    )
+    assert space_count_histogram(f5, G, dv) == slow
+
+
+def test_pattern_histogram_matches_eval(f5):
+    G = GroupSpec((2,))
+    dv = normalize_degrees(G, {(1,): 2})
+    x = 0
+    slow = Counter()
+    for cover in enumerate_space(f5, G, dv):
+        ev = eval_at(f5, G, cover, x)
+        rep = class_of(G, ev.beta).representative
+        all_one = ev.count > 0
+        slow[(rep, all_one)] += 1
+    assert space_pattern_histogram(f5, G, dv, x) == slow
+
+
 def test_report_serializes(f5):
     G = GroupSpec((2,))
     report = count_points(f5, G, hyper(f5, 1, [1, 0, 1]))
