@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import field as field_mod
@@ -47,14 +48,17 @@ from .groupcomb import (
 )
 from .moduli import (
     alpha_map,
+    component_sizes,
     degrees_from_json,
     enumerate_space,
     genus,
+    genus_contributions,
     genus_invariance_check,
     make_cover_tuple,
+    normalize_degrees,
     sample_space,
 )
-from .numtheory import euler_phi
+from .numtheory import divisors, euler_phi
 
 
 def _load_config(path):
@@ -76,6 +80,14 @@ def _pick(args, config, name, default=None):
     return default
 
 
+def _pick_json(args, config, name, what):
+    """A required option, decoded when it is given as a JSON string."""
+    value = _pick(args, config, name)
+    if value is None:
+        raise ValueError("missing --%s (%s)" % (name, what))
+    return json.loads(value) if isinstance(value, str) else value
+
+
 def _build_context(args, config):
     p = _pick(args, config, "p")
     if p is None:
@@ -94,10 +106,8 @@ def _build_group(args, config):
 
 
 def _build_degrees(args, config, group):
-    raw = _pick(args, config, "degrees")
-    if raw is None:
-        raise ValueError("missing --degrees")
-    return degrees_from_json(group, raw)
+    raw = _pick_json(args, config, "degrees", "branch degrees")
+    return normalize_degrees(group, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +118,6 @@ def cmd_genus(args, config):
     group = _build_group(args, config)
     dv = _build_degrees(args, config, group)
     g = genus(group, dv)
-    from .moduli import genus_contributions
-
     contrib = genus_contributions(group, dv)
     payload = {
         "group": list(group.r),
@@ -128,26 +136,23 @@ def cmd_genus(args, config):
 # count
 
 
+def _int_list(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise ValueError("%s must be a JSON list of integers, not %r" % (what, value))
+    return value
+
+
 def cmd_count(args, config):
     ctx = _build_context(args, config)
     group = _build_group(args, config)
-    raw_f = _pick(args, config, "f")
-    if raw_f is None:
-        raise ValueError("missing --f (branch polynomials)")
-    if isinstance(raw_f, str):
-        raw_f = json.loads(raw_f)
-    c = _pick(args, config, "c")
-    if c is None:
-        raise ValueError("missing --c (leading unit vector)")
-    if isinstance(c, str):
-        c = json.loads(c)
-    c = tuple(int(x) for x in c)
+    raw_f = _pick_json(args, config, "f", "branch polynomials")
+    c = _pick_json(args, config, "c", "leading unit vector")
     # Keys are read as --degrees reads them; an unmentioned alpha gets f = 1.
     polys = {
-        alpha: polyring.Polynomial(ctx, [int(x) for x in coeffs])
+        alpha: polyring.Polynomial(ctx, _int_list(coeffs, "coefficients"))
         for alpha, coeffs in alpha_map(group, raw_f, [1]).items()
     }
-    cover = make_cover_tuple(c, polys)
+    cover = make_cover_tuple(_int_list(c, "--c"), polys)
     cover.validate(ctx, group)
     report = count_points(ctx, group, cover)
     json.dump(report.to_json_dict(), sys.stdout, indent=2)
@@ -161,20 +166,15 @@ def cmd_count(args, config):
 
 def _histogram_for(ctx, group, dv, mode, draws, seed):
     if mode == "enumerate":
-        return space_count_histogram(ctx, group, dv), False
+        return space_count_histogram(ctx, group, dv)
     covers = sample_space(ctx, group, dv, draws, seed)
-    from collections import Counter
-
-    hist = Counter()
-    for cover in covers:
-        hist[count_points(ctx, group, cover, check=False).total] += 1
-    return hist, True
+    return Counter(count_points(ctx, group, c, check=False).total for c in covers)
 
 
 def _distribution_rows(ctx, group, dv, mode, draws, seed):
-    hist, sampled = _histogram_for(ctx, group, dv, mode, draws, seed)
+    hist = _histogram_for(ctx, group, dv, mode, draws, seed)
     law = total_law(group, ctx.q)
-    report = compare(hist, law, sampled=sampled)
+    report = compare(hist, law)
     lines = ["value,empirical_num,empirical_den,theory_num,theory_den"]
     for row in report.csv_rows(law, hist):
         lines.append(",".join(str(x) for x in row))
@@ -241,7 +241,7 @@ def check_field_characters():
     for p, k in [(3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]:
         ctx = field_mod.make_field(p, k)
         q = ctx.q
-        for m in [d for d in range(2, q) if (q - 1) % d == 0]:
+        for m in divisors(q - 1)[1:]:
             total = [0] * m
             for a in ctx.units():
                 val = field_mod.character(ctx, m, a)
@@ -260,9 +260,8 @@ def check_field_characters():
                     _require(
                         lhs == rhs, "field", "multiplicativity failed in F_%d" % q
                     )
-        divisors_of = [d for d in range(1, q) if (q - 1) % d == 0]
-        for m in divisors_of:
-            for d in divisors_of:
+        for m in divisors(q - 1):
+            for d in divisors(q - 1):
                 if m % d:
                     continue
                 for a in ctx.units():
@@ -352,7 +351,8 @@ def check_genus():
 
 
 def check_oracle():
-    """Character-sum counts against the brute-force fibre oracle."""
+    """Character-sum counts against the brute-force fibre oracle, and the
+    number of enumerated covers against the counted space size."""
     jobs = [
         (3, (2,), {"1": 2}),
         (5, (2,), {"1": 4}),
@@ -363,7 +363,14 @@ def check_oracle():
         ctx = field_mod.make_field(q)
         group = GroupSpec(r)
         dv = degrees_from_json(group, raw)
-        for cover in enumerate_space(ctx, group, dv):
+        covers = list(enumerate_space(ctx, group, dv))
+        _require(
+            len(covers) == sum(component_sizes(ctx, group, dv).values()),
+            "oracle",
+            "%d covers enumerated, not the counted size, for q=%d r=%s"
+            % (len(covers), q, r),
+        )
+        for cover in covers:
             report = count_points(ctx, group, cover)
             for ev in report.points:
                 if ev.x == "inf":
@@ -398,7 +405,7 @@ def check_distribution():
                 "single point law not normalized for %s q=%d" % (r, q),
             )
             denom = point_denominator(group, q)
-            rebuilt = {}
+            rebuilt = Counter()
             for cls in beta_classes(group):
                 e = cls.e
                 weight = Fraction(len(cls.members), euler_phi(e))
@@ -407,9 +414,8 @@ def check_distribution():
                 else:
                     p_all = Fraction(e * euler_phi(e), denom) * weight
                 sets = group.size // e
-                rebuilt[group.size // e] = rebuilt.get(group.size // e, Fraction(0))
-                rebuilt[group.size // e] += p_all
-                rebuilt[0] = rebuilt.get(0, Fraction(0)) + p_all * (sets - 1)
+                rebuilt[sets] += p_all
+                rebuilt[0] += p_all * (sets - 1)
             rebuilt = {v: p for v, p in rebuilt.items() if p}
             _require(
                 rebuilt == law.as_dict(),

@@ -122,17 +122,18 @@ def derived_polys(ctx: FieldCtx, G: GroupSpec, t: CoverTuple) -> list[DerivedPol
     return out
 
 
-def _cyclotomic_poly(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (low first) of the n-th cyclotomic polynomial over Z:
     x^n - 1 divided by Phi_d for every proper divisor d of n."""
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
         poly, rem = _divmod_z(poly, _cyclotomic_poly(d))
         assert not any(rem), "non-exact cyclotomic division"
-    return poly
+    return tuple(poly)
 
 
-def _divmod_z(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+def _divmod_z(num: list[int], den: tuple) -> tuple[list[int], list[int]]:
     """Quotient and remainder of num by the monic den over Z, low first."""
     rem = list(num)
     dd = len(den) - 1

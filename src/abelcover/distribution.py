@@ -18,11 +18,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import BadField, BadMultiplicity, EmptyHistogram, InternalInconsistency
 from .groupcomb import GroupSpec, beta_classes, phi_G
-from .numtheory import divisors, euler_phi, moebius
+from .numtheory import count_irreducibles, divisors, euler_phi
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,6 @@ def pattern_probability(G: GroupSpec, q: int, multiplicities: Mapping) -> Fracti
 
 # -- Euler product and size asymptotics ---------------------------------
 
-def count_irreducibles(q: int, m: int) -> int:
-    """Number of monic irreducibles of degree m over F_q (Moebius necklace
-    count)."""
-    return sum(moebius(d) * q ** (m // d) for d in divisors(m)) // m
-
-
 # Fractional bits of the fixed-point Euler-product interval.
 _BITS = 192
 
@@ -246,7 +240,6 @@ class ComparisonReport:
     tv: Fraction
     tv_float: float
     residuals: dict[int, Fraction]  # empirical - theoretical per value
-    stderr: Optional[dict[int, float]] = None  # Monte-Carlo, sampled data only
 
     def csv_rows(self, theoretical: Pmf, empirical: Mapping[int, int]):
         values = sorted(set(theoretical.support) | set(empirical))
@@ -260,11 +253,7 @@ class ComparisonReport:
         return rows
 
 
-def compare(
-    empirical: Mapping[int, int],
-    theoretical: Pmf,
-    sampled: bool = False,
-) -> ComparisonReport:
+def compare(empirical: Mapping[int, int], theoretical: Pmf) -> ComparisonReport:
     """Total-variation distance and per-value residuals between an empirical
     histogram (integer counts) and an exact Pmf."""
     draws = sum(empirical.values())
@@ -273,14 +262,10 @@ def compare(
     values = sorted(set(theoretical.support) | set(empirical))
     residuals = {}
     tv = Fraction(0)
-    stderr = {} if sampled else None
     for v in values:
         emp = Fraction(empirical.get(v, 0), draws)
         th = theoretical.prob(v)
         residuals[v] = emp - th
         tv += abs(emp - th)
-        if sampled:
-            p = float(emp)
-            stderr[v] = (p * (1 - p) / draws) ** 0.5
     tv /= 2
-    return ComparisonReport(draws, tv, float(tv), residuals, stderr)
+    return ComparisonReport(draws, tv, float(tv), residuals)

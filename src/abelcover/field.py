@@ -172,13 +172,7 @@ class FieldCtx:
                         rem[i - dg + j] = (rem[i - dg + j] - c * g[j]) % p
             return not any(rem[:dg])
 
-        for code in range(p**k):
-            coeffs = []
-            c = code
-            for _ in range(k):
-                coeffs.append(c % p)
-                c //= p
-            f = coeffs + [1]
+        for f in all_monic(k):
             if all(
                 not divides(g, f) for d in range(1, k // 2 + 1) for g in all_monic(d)
             ):
@@ -260,9 +254,6 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("dlog(0) is undefined")
         return self._dlog[a]
-
-    def elements(self):
-        return range(self.q)
 
     def units(self):
         return range(1, self.q)

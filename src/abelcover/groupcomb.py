@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import BadDivisor, BadOrder, DimensionMismatch, InternalInconsistency
 from .field import CharValue
@@ -44,10 +44,7 @@ class GroupSpec:
 
     @property
     def size(self) -> int:
-        out = 1
-        for rj in self.r:
-            out *= rj
-        return out
+        return prod(self.r)
 
     @property
     def exponent(self) -> int:

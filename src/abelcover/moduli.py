@@ -29,13 +29,13 @@ from .field import FieldCtx
 from .groupcomb import GroupSpec, ram_exponent
 from .polyring import (
     Polynomial,
+    count_coprime_tuples,
     enumerate_coprime_tuples,
     is_squarefree,
     poly_gcd,
 )
 
 DEFAULT_BUDGET = 10_000_000
-EXACT_BUDGET = 200_000  # sample_space counts component sizes up to this bound
 STALL_LIMIT = 20_000  # rejected candidates per draw before RejectionStall
 
 
@@ -79,8 +79,11 @@ def d_vec(G: GroupSpec, degmap: Mapping) -> tuple[int, ...]:
 def alpha_map(G: GroupSpec, raw: Mapping, fill) -> dict:
     """{alpha: value} over every nonzero exponent vector, unmentioned alphas
     set to fill.  Keys may be tuples or comma-joined strings (the JSON wire
-    form); one that is not a nonzero exponent vector raises DimensionMismatch.
+    form); a raw value that is not a mapping, or a key that is not a nonzero
+    exponent vector, raises DimensionMismatch.
     """
+    if not isinstance(raw, Mapping):
+        raise DimensionMismatch(f"expected a map keyed by alpha, got {raw!r}")
     out = dict.fromkeys(G.nonzero_vectors(), fill)
     for key, value in raw.items():
         if isinstance(key, str):
@@ -98,11 +101,14 @@ def alpha_map(G: GroupSpec, raw: Mapping, fill) -> dict:
 def normalize_degrees(G: GroupSpec, raw: Mapping) -> DegreeVector:
     """Validate a raw degree assignment and fill unmentioned alphas with 0.
 
-    Keys are read by alpha_map.  Raises CongruenceViolation naming the
-    first offending coordinate j.
+    Keys are read by alpha_map; a degree that is not an integer raises
+    ValueError.  Raises CongruenceViolation naming the first offending
+    coordinate j.
     """
     degrees = alpha_map(G, raw, 0)
     for d in degrees.values():
+        if not isinstance(d, int):
+            raise ValueError(f"degree {d!r} is not an integer")
         if d < 0:
             raise CongruenceViolation(0, d, 1)
     dv = DegreeVector(G, tuple(sorted((a, int(d)) for a, d in degrees.items())))
@@ -192,13 +198,9 @@ def genus_invariance_check(G: GroupSpec, dv: DegreeVector) -> bool:
             for alpha, d in degmap.items()
         )
         rhs += size - size // ram_exponent(G, d_vec(G, degmap))
-        if all(d == 0 for d in degmap.values()):
-            g = 0
-        else:
-            if (rhs + 2 - 2 * size) % 2:
-                return False
-            g = (rhs + 2 - 2 * size) // 2
-        if g != expected:
+        # 2g of the component; the all-zero (trivial) component has g = 0
+        twice = rhs + 2 - 2 * size if any(degmap.values()) else 0
+        if twice != 2 * expected:
             return False
     return True
 
@@ -219,14 +221,10 @@ class CoverTuple:
     def validate(self, ctx: FieldCtx, G: GroupSpec) -> None:
         if len(self.c) != G.n or any(not 1 <= cj < ctx.q for cj in self.c):
             raise DimensionMismatch("leading-coefficient vector invalid")
-        polys = [f for _, f in self.f if f.degree >= 1]
-        for f in polys:
-            if not (f.is_monic and is_squarefree(f)):
-                raise MultipleVanishing(f"{f!r} is not monic squarefree")
-        for i, f in enumerate(polys):
-            for g in polys[:i]:
-                if poly_gcd(f, g).degree > 0:
-                    raise MultipleVanishing(f"{f!r} and {g!r} share a factor")
+        polys = self.polys()
+        monic = all(f.is_monic for f in polys.values() if f.degree >= 1)
+        if not (monic and _accept(polys)):
+            raise MultipleVanishing(f"{polys}: not monic, squarefree, coprime")
 
 
 def make_cover_tuple(c, polys: Mapping, tag=None) -> CoverTuple:
@@ -237,28 +235,21 @@ def make_cover_tuple(c, polys: Mapping, tag=None) -> CoverTuple:
     )
 
 
-def _component_size_bound(ctx: FieldCtx, degmap: dict) -> int:
-    out = 1
-    for d in degmap.values():
-        out *= ctx.q**d
-    return out
-
-
 def space_size_bound(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> int:
     """Cheap upper bound on |space|, used for budget gating."""
     units = (ctx.q - 1) ** G.n
     return units * sum(
-        _component_size_bound(ctx, degmap)
-        for _, degmap in component_degree_maps(G, dv)
+        ctx.q ** sum(degmap.values()) for _, degmap in component_degree_maps(G, dv)
     )
 
 
 def component_sizes(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> dict:
-    """Exact component cardinalities (leading coefficients included), by
-    counting the coprime-tuple streams."""
+    """Exact component cardinalities (leading coefficients included):
+    (q-1)^n times the number of coprime tuples of each component, counted
+    from the Euler product, not enumerated."""
     units = (ctx.q - 1) ** G.n
     return {
-        tag: units * sum(1 for _ in enumerate_coprime_tuples(ctx, degmap))
+        tag: units * count_coprime_tuples(ctx.q, degmap.values())
         for tag, degmap in component_degree_maps(G, dv)
     }
 
@@ -299,22 +290,6 @@ def enumerate_space(
             yield CoverTuple(c, f, tag)
 
 
-def _estimate_component_sizes(
-    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, rng: random.Random, trials: int
-) -> dict:
-    units = (ctx.q - 1) ** G.n
-    sizes = {}
-    for tag, degmap in component_degree_maps(G, dv):
-        bound = _component_size_bound(ctx, degmap)
-        hits = 0
-        for _ in range(trials):
-            if _accept(_random_polys(ctx, degmap, rng)):
-                hits += 1
-        rate = hits / trials
-        sizes[tag] = units * bound * rate
-    return sizes
-
-
 def _random_polys(ctx: FieldCtx, degmap: dict, rng: random.Random) -> dict:
     out = {}
     for alpha in sorted(degmap):
@@ -344,16 +319,12 @@ def sample_space(
 ) -> Iterator[CoverTuple]:
     """count i.i.d. uniform draws from the space, deterministic under seed.
 
-    Components are weighted by exact sizes when the space bound is at most
-    EXACT_BUDGET, otherwise by rejection-rate estimates; polynomials are then
+    Components are weighted by their exact sizes; polynomials are then
     rejection-sampled until squarefree and pairwise coprime, at most
-    STALL_LIMIT times per draw.
+    STALL_LIMIT times per draw.  The draws are exactly uniform.
     """
     rng = random.Random(seed)
-    if space_size_bound(ctx, G, dv) <= EXACT_BUDGET:
-        sizes = component_sizes(ctx, G, dv)
-    else:
-        sizes = _estimate_component_sizes(ctx, G, dv, rng, trials=2000)
+    sizes = component_sizes(ctx, G, dv)
     tags = sorted(sizes, key=lambda t: (t is not None, t))
     totals = [sizes[t] for t in tags]
     degmaps = dict(component_degree_maps(G, dv))

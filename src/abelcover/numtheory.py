@@ -1,5 +1,6 @@
 """Elementary number theory on small positive integers: prime divisors,
-divisors, Euler's phi and the Moebius function, all by trial division."""
+divisors, Euler's phi and the Moebius function, all by trial division, and
+the number of monic irreducibles of a given degree over F_q."""
 
 from __future__ import annotations
 
@@ -46,3 +47,9 @@ def moebius(n: int) -> int:
             return 0
         out = -out
     return out
+
+
+def count_irreducibles(q: int, m: int) -> int:
+    """Number of monic irreducibles of degree m over F_q (Moebius necklace
+    count)."""
+    return sum(moebius(d) * q ** (m // d) for d in divisors(m)) // m

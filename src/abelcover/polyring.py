@@ -9,10 +9,14 @@ coefficients.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations_with_replacement, groupby, product
+from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
 from .errors import FieldMismatch, ZeroPolynomial
 from .field import FieldCtx
+from .numtheory import count_irreducibles
 
 
 class Polynomial:
@@ -251,6 +255,44 @@ def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
             chosen.pop()
 
     yield from rec(0, [])
+
+
+def count_coprime_tuples(q: int, degrees) -> int:
+    """The number of tuples that enumerate_coprime_tuples yields over F_q for
+    these degrees: the coefficient of prod_i u_i^(d_i) in the Euler product
+    prod_P (1 + sum_i u_i^(deg P)).  Degree-0 coordinates are the constant 1.
+    """
+    return _count_from(q, 1, tuple(sorted(d for d in degrees if d > 0)))
+
+
+@lru_cache(maxsize=None)
+def _count_from(q: int, m: int, rest: tuple[int, ...]) -> int:
+    """Tuples with the sorted positive degrees rest whose irreducible factors
+    all have degree >= m.  Each of the pi_q(m) irreducibles of degree m
+    divides at most one coordinate, a_i of them coordinate i.  Coordinates of
+    equal degree are interchangeable: their a_i are chosen as a multiset,
+    weighted by its number of arrangements."""
+    if not rest:
+        return 1
+    if rest[0] < m:
+        return 0
+    pi = count_irreducibles(q, m)
+    runs = [(d, len(list(group))) for d, group in groupby(rest)]
+    choices = (combinations_with_replacement(range(d // m + 1), c) for d, c in runs)
+    total = 0
+    for parts in product(*choices):
+        split = [a for part in parts for a in part]
+        s = sum(split)
+        if s > pi:
+            continue
+        # which s irreducibles are used, and how they are dealt to the coordinates
+        ways = comb(pi, s) * factorial(s) // prod(map(factorial, split))
+        for part in parts:
+            ways *= factorial(len(part))
+            ways //= prod(factorial(part.count(a)) for a in set(part))
+        left = [d - m * a for (d, _), part in zip(runs, parts) for a in part]
+        total += ways * _count_from(q, m + 1, tuple(sorted(r for r in left if r)))
+    return total
 
 
 def count_squarefree(ctx: FieldCtx, d: int) -> int:

@@ -252,3 +252,52 @@ def test_verify_fails_on_admissibility_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_admissible_decomposition", lambda G, p: False)
     assert cli.main(["verify"]) == 1
     assert "FAIL oracle" in capsys.readouterr().out
+
+
+def test_genus_rejects_degrees_that_are_not_a_map(capsys):
+    code, _, err = run(capsys, "genus", "--r", "2", "--degrees", "[6]")
+    assert code == 2
+    assert "error" in err
+
+
+def test_genus_rejects_a_degree_that_is_not_an_integer(capsys):
+    code, _, err = run(capsys, "genus", "--r", "2", "--degrees", '{"1": "x"}')
+    assert code == 2
+    assert "not an integer" in err
+
+
+def test_count_rejects_f_that_is_not_a_map(capsys):
+    code, _, err = run(
+        capsys, "count", "--p", "5", "--r", "2", "--c", "[1]", "--f", "[[1, 0, 1]]"
+    )
+    assert code == 2
+    assert "error" in err
+
+
+def test_count_rejects_c_that_is_not_a_list(capsys):
+    code, _, err = run(
+        capsys, "count", "--p", "5", "--r", "2", "--c", "1", "--f", '{"1": [1, 0, 1]}'
+    )
+    assert code == 2
+    assert "--c" in err
+
+
+def test_count_rejects_coefficients_that_are_not_a_list(capsys):
+    code, _, err = run(
+        capsys, "count", "--p", "5", "--r", "2", "--c", "[1]", "--f", '{"1": 5}'
+    )
+    assert code == 2
+    assert "coefficients" in err
+
+
+def test_verify_fails_on_wrong_component_sizes(monkeypatch, capsys):
+    real = cli.component_sizes
+
+    def off_by_one(ctx, G, dv):
+        sizes = real(ctx, G, dv)
+        sizes[None] += 1
+        return sizes
+
+    monkeypatch.setattr(cli, "component_sizes", off_by_one)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL oracle" in capsys.readouterr().out

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from abelcover.counting import (
     INFINITY,
+    _cyclotomic_poly,
     count_points,
     derived_polys,
     eval_at,
@@ -320,3 +321,17 @@ def test_bulk_histograms_match_per_cover_counts(space):
         patterns[(class_of(G, ev.beta).representative, ev.count > 0)] += 1
     assert space_count_histogram(ctx, G, dv) == counts
     assert space_pattern_histogram(ctx, G, dv, x) == patterns
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    """prod_{d | n} Phi_d = x^n - 1 over Z, for the memoised Phi_d."""
+    for n in range(1, 41):
+        prod = [1]
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            phi = _cyclotomic_poly(d)
+            out = [0] * (len(prod) + len(phi) - 1)
+            for i, a in enumerate(prod):
+                for j, b in enumerate(phi):
+                    out[i + j] += a * b
+            prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]

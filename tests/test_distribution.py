@@ -236,9 +236,6 @@ def test_compare_tv_and_residuals():
     assert report.tv == F(1, 4)
     assert report.residuals[0] == F(1, 4)
     assert report.residuals[1] == -F(1, 4)
-    assert report.stderr is None
-    sampled = compare({0: 3, 1: 1}, law, sampled=True)
-    assert sampled.stderr is not None
 
 
 def test_compare_rejects_empty_histogram():

@@ -1,7 +1,11 @@
 """Tests for degree vectors, genus, and moduli space enumeration."""
 
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from abelcover.errors import (
     BudgetExceeded,
@@ -14,6 +18,7 @@ from abelcover.groupcomb import GroupSpec
 from abelcover.moduli import (
     component_degree_maps,
     component_sizes,
+    d_vec,
     degrees_from_json,
     enumerate_space,
     genus,
@@ -141,6 +146,62 @@ def test_enumeration_matches_component_sizes(f5):
     assert sizes[(1,)] == 4 * 100
     for cover in covers:
         cover.validate(f5, G)
+
+
+# q -> (p, k) for the fields of the size property
+PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+                9: (3, 2)}
+
+
+@lru_cache(maxsize=None)
+def field_of(q):
+    return make_field(*PRIME_POWERS[q])
+
+
+@st.composite
+def enumerable_spaces(draw):
+    """(q, r, degrees): every group at every q, since component sizes count
+    polynomial tuples and need no characters; zero and several nonzero
+    degrees, nudged onto the congruences d_j = 0 mod r_j."""
+    q = draw(st.sampled_from(sorted(PRIME_POWERS)))
+    r = draw(st.sampled_from([(2,), (3,), (4,), (2, 2)]))
+    G = GroupSpec(r)
+    alphas = G.nonzero_vectors()
+    degrees = dict.fromkeys(alphas, 0)
+    degrees.update(draw(st.dictionaries(st.sampled_from(alphas), st.integers(0, 3))))
+    # Raising the degree of the j-th unit vector moves d_j alone.
+    for j, (dj, rj) in enumerate(zip(d_vec(G, degrees), r)):
+        degrees[tuple(int(i == j) for i in range(G.n))] += -dj % rj
+    assume(space_size_bound(field_of(q), G, normalize_degrees(G, degrees)) <= 20_000)
+    return q, r, degrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(enumerable_spaces())
+@example((2, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}))  # plain component empty
+@example((3, (4,), {(1,): 2, (2,): 0, (3,): 2}))
+@example((3, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}))
+@example((4, (3,), {(1,): 1, (2,): 1}))
+def test_component_sizes_match_enumeration(space):
+    """The counted size of every component equals its enumerated covers."""
+    q, r, degrees = space
+    ctx, G = field_of(q), GroupSpec(r)
+    dv = normalize_degrees(G, degrees)
+    sizes = component_sizes(ctx, G, dv)
+    enumerated = Counter(cover.tag for cover in enumerate_space(ctx, G, dv))
+    assert set(enumerated) <= set(sizes)
+    assert {tag: enumerated[tag] for tag in sizes} == sizes
+
+
+def test_component_sizes_closed_form_at_degree_20(f5):
+    """Squarefree counts q^d - q^(d-1) per component, far beyond enumeration."""
+    G = GroupSpec((2,))
+    q, d = 5, 20
+    sizes = component_sizes(f5, G, normalize_degrees(G, {(1,): d}))
+    assert sizes == {
+        None: (q - 1) * (q**d - q ** (d - 1)),
+        (1,): (q - 1) * (q ** (d - 1) - q ** (d - 2)),
+    }
 
 
 def test_budget_gate(f5):

@@ -1,6 +1,7 @@
 """Tests for dense polynomial arithmetic and constrained enumeration."""
 
 import itertools
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from abelcover.errors import FieldMismatch, ZeroPolynomial
 from abelcover.field import make_field
 from abelcover.polyring import (
     Polynomial,
+    count_coprime_tuples,
     count_squarefree,
     enumerate_coprime_tuples,
     enumerate_monic,
@@ -149,3 +151,31 @@ def test_degree_zero_slots_are_constant_one():
     tuples = list(enumerate_coprime_tuples(ctx, {(1,): 0}))
     assert len(tuples) == 1
     assert tuples[0][(1,)] == Polynomial.one(ctx)
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1)]
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_count_single_coordinate_is_count_squarefree(p, k):
+    ctx = make_field(p, k)
+    for d in range(31):
+        assert count_coprime_tuples(ctx.q, [d]) == count_squarefree(ctx, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 13])
+def test_count_linear_coordinates_is_falling_factorial(q):
+    """k coprime monic linears are k distinct roots in order: q!/(q-k)!."""
+    for k in range(q + 3):
+        assert count_coprime_tuples(q, [1] * k) == perm(q, k)
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [[1, 1], [2, 2], [2, 1, 0], [1, 1, 1], [3, 2], [2, 2, 1], [1, 1, 2, 2], [4, 0, 0]],
+)
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_count_matches_enumeration(p, k, degrees):
+    ctx = make_field(p, k)
+    enumerated = sum(1 for _ in enumerate_coprime_tuples(ctx, dict(enumerate(degrees))))
+    assert count_coprime_tuples(ctx.q, degrees) == enumerated
