@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 internal invariant violation, 2 bad input.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -354,13 +355,15 @@ def check_oracle():
     """Character-sum counts against the brute-force fibre oracle, and the
     number of enumerated covers against the counted space size."""
     jobs = [
-        (3, (2,), {"1": 2}),
-        (5, (2,), {"1": 4}),
-        (7, (3,), {"1": 1, "2": 1}),
-        (5, (2, 2), {"1,0": 1, "0,1": 1, "1,1": 1}),
+        (3, 1, (2,), {"1": 2}),
+        (5, 1, (2,), {"1": 4}),
+        (7, 1, (3,), {"1": 1, "2": 1}),
+        (5, 1, (2, 2), {"1,0": 1, "0,1": 1, "1,1": 1}),
+        (2, 2, (3,), {"1": 1, "2": 1}),
+        (3, 2, (4,), {"1": 1, "3": 1}),
     ]
-    for q, r, raw in jobs:
-        ctx = field_mod.make_field(q)
+    for p, k, r, raw in jobs:
+        ctx = field_mod.make_field(p, k)
         group = GroupSpec(r)
         dv = degrees_from_json(group, raw)
         covers = list(enumerate_space(ctx, group, dv))
@@ -368,7 +371,7 @@ def check_oracle():
             len(covers) == sum(component_sizes(ctx, group, dv).values()),
             "oracle",
             "%d covers enumerated, not the counted size, for q=%d r=%s"
-            % (len(covers), q, r),
+            % (len(covers), ctx.q, r),
         )
         for cover in covers:
             report = count_points(ctx, group, cover)
@@ -382,12 +385,12 @@ def check_oracle():
                 _require(
                     direct == ev.count,
                     "oracle",
-                    "count mismatch at x=%s for q=%d r=%s" % (ev.x, q, r),
+                    "count mismatch at x=%s for q=%d r=%s" % (ev.x, ctx.q, r),
                 )
                 _require(
                     check_admissible_decomposition(group, ev.pattern),
                     "oracle",
-                    "inadmissible pattern at x=%s for q=%d r=%s" % (ev.x, q, r),
+                    "inadmissible pattern at x=%s for q=%d r=%s" % (ev.x, ctx.q, r),
                 )
 
 
@@ -428,27 +431,16 @@ def check_distribution():
 def _pattern_total(group, q):
     """Sum of pattern probabilities over all multiplicity splittings."""
     classes = beta_classes(group)
-    sets_per_class = [group.size // cls.e for cls in classes]
     n = q + 1
     total = Fraction(0)
-    for split in _compositions(n, len(classes)):
+    for split in itertools.product(range(n + 1), repeat=len(classes)):
+        if sum(split) != n:
+            continue
         mult = {cls.representative: m for cls, m in zip(classes, split) if m}
-        weight = math.factorial(n)
-        for m in split:
-            weight //= math.factorial(m)
-        for count, m in zip(sets_per_class, split):
-            weight *= count**m
+        weight = math.factorial(n) // math.prod(map(math.factorial, split))
+        weight *= math.prod((group.size // c.e) ** m for c, m in zip(classes, split))
         total += weight * pattern_probability(group, q, mult)
     return total
-
-
-def _compositions(n, parts):
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, parts - 1):
-            yield (head,) + rest
 
 
 def check_pattern_totals():

@@ -17,8 +17,10 @@ unramified points.
 There is one evaluation path: _component_point_data gives, at each of the
 q+1 points, beta_x and per pair the exponent sum_alpha e_alpha dlog f_alpha(x)
 mod ell (None where a factor vanishes), e_alpha = pair_weight(pair, alpha).
-count_points (of which eval_at reads one point) and the bulk histograms add
-the c-part exponent pair_weight(pair, dlog c) to it.
+There is one count rule: _count_above adds the c-part exponent
+pair_weight(pair, dlog c) to that state and applies the dichotomy.
+count_points (of which eval_at reads one point) calls it per point; both
+bulk histograms read it through _space_rows, memoised per point state.
 """
 
 from __future__ import annotations
@@ -160,6 +162,17 @@ def _cyclotomic_consistent(values, count: int, r_n: int) -> bool:
     return not any(_divmod_z(vec, _cyclotomic_poly(r_n))[1])
 
 
+def _count_above(G: GroupSpec, beta, exps: dict, b: dict) -> int:
+    """The A_beta dichotomy at one point: |A_beta| when every surviving pair
+    has value 1 (exps[pair] + b[pair] = 0 mod ell, b the c-part), else 0."""
+    surviving = a_beta(G, beta)
+    for pair in surviving:
+        a = exps[pair]
+        if a is None or (a + b[pair]) % pair.ell:
+            return 0
+    return len(surviving)
+
+
 def eval_at(
     ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x, check: bool = True
 ) -> PointEvaluation:
@@ -185,17 +198,12 @@ def count_points(
             else CharValue.root(pair.ell, a + c_part[pair])
             for pair, a in exps.items()
         }
-        surviving = a_beta(G, beta)
         zero_support = {pair for pair, val in pattern.items() if val.is_zero}
-        if zero_support != pattern.keys() - surviving:
+        if zero_support != pattern.keys() - a_beta(G, beta):
             raise InternalInconsistency(
                 f"vanishing pattern at x={x} is not [beta]-admissible"
             )
-        count = (
-            len(surviving)
-            if all(pattern[pair].is_one for pair in surviving)
-            else 0
-        )
+        count = _count_above(G, beta, exps, c_part)
         if check and not _cyclotomic_consistent(
             pattern.values(), count, G.exponent
         ):
@@ -294,15 +302,24 @@ def _unit_exponents(ctx: FieldCtx, G: GroupSpec, units) -> dict:
 # -- bulk harnesses -----------------------------------------------------
 
 
-def _space_tables(ctx, G, dv, budget):
-    """Tuple walk, c-part exponents and A_beta lists of both bulk histograms."""
+def _space_rows(ctx, G, dv, budget):
+    """Per polynomial tuple of the space, (beta_x, row) at the q+1 points,
+    row[i] the count above x for the i-th leading unit vector.  Rows are
+    memoised on the point state, so the c-block runs once per state."""
     walk = space_tuples(ctx, G, dv, budget)
-    c_exps = _unit_exponents(ctx, G, itertools.product(range(1, ctx.q), repeat=G.n))
-    a_sets = {
-        beta: sorted(a_beta(G, beta), key=lambda p: (p.s, p.omega))
-        for beta in G.all_vectors()
-    }
-    return walk, c_exps, a_sets
+    units = _unit_exponents(ctx, G, itertools.product(range(1, ctx.q), repeat=G.n))
+    memo = {}
+
+    def row(beta, exps):
+        key = (beta, tuple(exps.values()))
+        if key not in memo:
+            memo[key] = tuple(_count_above(G, beta, exps, b) for b in units.values())
+        return beta, memo[key]
+
+    return (
+        [row(*point) for point in _component_point_data(ctx, G, polys)]
+        for _, polys in walk
+    )
 
 
 def space_count_histogram(
@@ -316,21 +333,9 @@ def space_count_histogram(
     Equivalent to running count_points on every enumerated tuple, but the
     point data are shared across the leading-coefficient block.
     """
-    walk, c_exps, a_sets = _space_tables(ctx, G, dv, budget)
     hist: Counter = Counter()
-    for _, polys in walk:
-        data = _component_point_data(ctx, G, polys)
-        for c, b in c_exps.items():
-            total = 0
-            for beta, exps in data:
-                surviving = a_sets[beta]
-                for pair in surviving:
-                    a = exps[pair]
-                    if a is None or (a + b[pair]) % pair.ell:
-                        break
-                else:
-                    total += len(surviving)
-            hist[total] += 1
+    for points in _space_rows(ctx, G, dv, budget):
+        hist.update(map(sum, zip(*(row for _, row in points))))
     return hist
 
 
@@ -344,16 +349,9 @@ def space_pattern_histogram(
     """Histogram, over the full space, of the value pattern at a fixed x,
     keyed by (class representative of beta, all-surviving-values-are-one)."""
     idx = _point_index(ctx, x)
-    walk, c_exps, a_sets = _space_tables(ctx, G, dv, budget)
     reps = {beta: class_of(G, beta).representative for beta in G.all_vectors()}
     hist: Counter = Counter()
-    for _, polys in walk:
-        beta, exps = _component_point_data(ctx, G, polys)[idx]
-        surviving = a_sets[beta]
-        for c, b in c_exps.items():
-            all_one = all(
-                exps[pair] is not None and (exps[pair] + b[pair]) % pair.ell == 0
-                for pair in surviving
-            )
-            hist[(reps[beta], all_one)] += 1
+    for points in _space_rows(ctx, G, dv, budget):
+        beta, row = points[idx]
+        hist.update((reps[beta], n > 0) for n in row)
     return hist

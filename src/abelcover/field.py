@@ -150,15 +150,9 @@ class FieldCtx:
 
         def all_monic(d):
             if d not in monics:
-                out = []
-                for code in range(p**d):
-                    coeffs = []
-                    c = code
-                    for _ in range(d):
-                        coeffs.append(c % p)
-                        c //= p
-                    out.append(coeffs + [1])
-                monics[d] = out
+                monics[d] = [
+                    [code // p**i % p for i in range(d)] + [1] for code in range(p**d)
+                ]
             return monics[d]
 
         def divides(g, f):

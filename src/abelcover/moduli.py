@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -222,6 +223,11 @@ class CoverTuple:
         if len(self.c) != G.n or any(not 1 <= cj < ctx.q for cj in self.c):
             raise DimensionMismatch("leading-coefficient vector invalid")
         polys = self.polys()
+        for alpha, f in polys.items():
+            if f.is_zero or any(not 0 <= a < ctx.q for a in f.coeffs):
+                raise DimensionMismatch(
+                    f"f_{alpha} is not a nonzero polynomial over F_{ctx.q}"
+                )
         monic = all(f.is_monic for f in polys.values() if f.degree >= 1)
         if not (monic and _accept(polys)):
             raise MultipleVanishing(f"{polys}: not monic, squarefree, coprime")
@@ -326,10 +332,16 @@ def sample_space(
     rng = random.Random(seed)
     sizes = component_sizes(ctx, G, dv)
     tags = sorted(sizes, key=lambda t: (t is not None, t))
-    totals = [sizes[t] for t in tags]
+    # random.choices' rule in exact integers, as the sizes may exceed the
+    # float range: random() is n/d exactly, and integer cumulative sizes
+    # bisect floor(n * total / d) as they bisect n * total / d.
+    cum = list(itertools.accumulate(sizes[t] for t in tags))
+    if not cum[-1]:
+        raise ValueError("every component of the space is empty")
     degmaps = dict(component_degree_maps(G, dv))
     for _ in range(count):
-        tag = rng.choices(tags, weights=totals)[0]
+        n, d = rng.random().as_integer_ratio()
+        tag = tags[bisect(cum, n * cum[-1] // d, 0, len(tags) - 1)]
         degmap = degmaps[tag]
         for attempt in range(STALL_LIMIT):
             polys = _random_polys(ctx, degmap, rng)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from abelcover import cli
 from abelcover.field import CharValue, character
@@ -73,6 +74,15 @@ def test_count_fills_unmentioned_alphas_with_one(capsys):
     payload = json.loads(out)
     assert [pt["count"] for pt in payload["points"]] == [4, 0, 0, 0, 1, 1]
     assert payload["total"] == 6
+
+
+@pytest.mark.parametrize("coeffs", ["[0]", "[]", "[7, 0, 1]", "[-1, 0, 1]"])
+def test_count_rejects_polynomials_not_over_the_field(capsys, coeffs):
+    """The zero polynomial and coefficients outside 0..q-1 exit 2."""
+    f = '{"1": %s}' % coeffs
+    code, _, err = run(capsys, "count", "--p", "5", "--r", "2", "--c", "[1]", "--f", f)
+    assert code == 2
+    assert "not a nonzero polynomial over F_5" in err
 
 
 def test_count_rejects_wrong_length_alpha(capsys):
@@ -240,6 +250,20 @@ def test_verify_catches_broken_counts(monkeypatch):
     failures = cli.run_verification(only="oracle", out=lines.append)
     assert failures == 1
     assert lines[0].startswith("FAIL oracle")
+
+
+def test_verify_oracle_covers_extension_fields(monkeypatch):
+    """A fault that only shows over F_{p^k}, k > 1, must trip the oracle check."""
+    real = cli.oracle_count
+
+    def off_over_extensions(ctx, G, t, x):
+        return real(ctx, G, t, x) + (ctx.k > 1)
+
+    monkeypatch.setattr(cli, "oracle_count", off_over_extensions)
+    lines = []
+    assert cli.run_verification(only="oracle", out=lines.append) == 1
+    assert lines[0].startswith("FAIL oracle (count mismatch at x=")
+    assert "q=4" in lines[0]
 
 
 def test_verify_fails_on_genus_check(monkeypatch, capsys):

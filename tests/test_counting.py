@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from abelcover.counting import (
     INFINITY,
+    _component_point_data,
     _cyclotomic_poly,
     count_points,
     derived_polys,
@@ -24,7 +25,7 @@ from abelcover.errors import (
     RamifiedPoint,
 )
 from abelcover.field import CharValue, character, make_field
-from abelcover.groupcomb import GroupSpec, class_of
+from abelcover.groupcomb import GroupSpec, class_of, ram_exponent
 from abelcover.moduli import (
     d_vec,
     enumerate_space,
@@ -32,6 +33,7 @@ from abelcover.moduli import (
     normalize_degrees,
     sample_space,
     space_size_bound,
+    space_tuples,
 )
 from abelcover.polyring import Polynomial
 
@@ -281,13 +283,13 @@ def test_patterns_match_literal_derived_polynomials(p, k, r, degrees):
 
 @lru_cache(maxsize=None)
 def field_of(q):
-    return make_field(*{3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])
+    return make_field(*{3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])
 
 
 @st.composite
 def small_spaces(draw):
     """(q, r, degrees, x): a random small space and a point of P^1(F_q)."""
-    q = draw(st.sampled_from([3, 5, 7, 9]))
+    q = draw(st.sampled_from([3, 4, 5, 7, 9]))
     groups = [(2,), (3,), (4,), (2, 2), (2, 4), (6,)]
     r = draw(st.sampled_from([r for r in groups if (q - 1) % r[-1] == 0]))
     G = GroupSpec(r)
@@ -321,6 +323,16 @@ def test_bulk_histograms_match_per_cover_counts(space):
         patterns[(class_of(G, ev.beta).representative, ev.count > 0)] += 1
     assert space_count_histogram(ctx, G, dv) == counts
     assert space_pattern_histogram(ctx, G, dv, x) == patterns
+    # The bulk histograms memoise on point states; their number is bounded
+    # by the classes g in G at unramified points plus G/<beta> at roots of
+    # f_beta, whatever the size of the space.
+    states = {
+        (beta, tuple(exps.values()))
+        for _, polys in space_tuples(ctx, G, dv)
+        for beta, exps in _component_point_data(ctx, G, polys)
+    }
+    bound = G.size + sum(G.size // ram_exponent(G, b) for b in G.nonzero_vectors())
+    assert len(states) <= bound
 
 
 def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
@@ -335,3 +347,31 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
                     out[i + j] += a * b
             prod = out
         assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+EXTENSION_FIELD_SPACES = [
+    (2, 2, (3,), {(1,): 1, (2,): 1}),
+    (2, 3, (7,), {(1,): 2, (5,): 1}),
+    (3, 2, (4,), {(1,): 4}),
+    (3, 2, (8,), {(1,): 3, (5,): 1}),
+    (3, 2, (2, 2), {(1, 0): 2, (0, 1): 2, (1, 1): 2}),
+    (5, 2, (3,), {(1,): 3}),
+    (5, 2, (4,), {(1,): 2, (2,): 1}),
+    (5, 2, (12,), {(5,): 1, (7,): 1}),
+    (5, 2, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
+    (5, 2, (2, 4), {(1, 1): 1, (1, 3): 1}),
+]
+
+
+@pytest.mark.parametrize("p, k, r, degrees", EXTENSION_FIELD_SPACES)
+def test_counts_match_oracle_over_extension_fields(p, k, r, degrees):
+    """count_points against the brute-force fibre oracle over F_{p^k}, k > 1,
+    at every unramified finite point of sampled covers."""
+    ctx, G = make_field(p, k), GroupSpec(r)
+    checked = 0
+    for cover in sample_space(ctx, G, normalize_degrees(G, degrees), 20, seed=k):
+        for pt in count_points(ctx, G, cover).points[: ctx.q]:
+            if pt.beta == (0,) * G.n:
+                assert pt.count == oracle_count(ctx, G, cover, pt.x)
+                checked += 1
+    assert checked

@@ -1,5 +1,8 @@
 """Tests for degree vectors, genus, and moduli space enumeration."""
 
+import itertools
+import random
+from bisect import bisect
 from collections import Counter
 from functools import lru_cache
 
@@ -16,6 +19,8 @@ from abelcover.errors import (
 from abelcover.field import make_field
 from abelcover.groupcomb import GroupSpec
 from abelcover.moduli import (
+    _accept,
+    _random_polys,
     component_degree_maps,
     component_sizes,
     d_vec,
@@ -247,6 +252,60 @@ def test_sampling_is_deterministic(f5):
     assert a == b
     assert a != c
     for cover in a:
+        cover.validate(f5, G)
+
+
+def _choices(population, weights, rng):
+    """random.choices(population, weights)[0], as CPython 3.11 writes it:
+    the float total, one rng.random() call, bisect on the cumulative sums."""
+    cum_weights = list(itertools.accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    hi = len(cum_weights) - 1
+    return population[bisect(cum_weights, rng.random() * total, 0, hi)]
+
+
+def _float_weighted_tags(ctx, G, dv, count, seed):
+    """The component tags of sample_space drawn with float random.choices,
+    the rng stream consumed the same way."""
+    rng = random.Random(seed)
+    sizes = component_sizes(ctx, G, dv)
+    tags = sorted(sizes, key=lambda t: (t is not None, t))
+    degmaps = dict(component_degree_maps(G, dv))
+    out = []
+    for _ in range(count):
+        out.append(_choices(tags, [sizes[t] for t in tags], rng))
+        while not _accept(_random_polys(ctx, degmaps[out[-1]], rng)):
+            pass
+        for _ in range(G.n):
+            rng.randrange(1, ctx.q)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, k, r, degrees",
+    [
+        (5, 1, (2,), {(1,): 4}),
+        (5, 1, (2,), {(1,): 6}),
+        (7, 1, (3,), {(1,): 2, (2,): 2}),
+        (3, 2, (4,), {(1,): 4}),
+        (5, 1, (2, 2), {(1, 0): 2, (0, 1): 2, (1, 1): 2}),
+    ],
+)
+def test_component_draws_follow_random_choices(p, k, r, degrees):
+    """Exact-integer component choice draws what float weights drew."""
+    ctx, G = make_field(p, k), GroupSpec(r)
+    dv = normalize_degrees(G, degrees)
+    for seed in range(4):
+        drawn = [t.tag for t in sample_space(ctx, G, dv, 60, seed)]
+        assert drawn == _float_weighted_tags(ctx, G, dv, 60, seed)
+
+
+def test_sampling_beyond_the_float_range(f5):
+    """Component sizes above 1e308 (q^450) are weighed exactly."""
+    G = GroupSpec((2,))
+    dv = normalize_degrees(G, {(1,): 450})
+    assert sum(component_sizes(f5, G, dv).values()) > 10**308
+    for cover in sample_space(f5, G, dv, 1, seed=0):
         cover.validate(f5, G)
 
 
