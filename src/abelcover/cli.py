@@ -276,9 +276,11 @@ def check_field_characters():
 
 
 def check_polynomial_counts():
-    """Monic and squarefree enumeration sizes against closed forms."""
-    for q in (2, 3, 5):
-        ctx = field_mod.make_field(q)
+    """Monic and squarefree enumeration sizes against closed forms, and the
+    squarefree sieve against the gcd test."""
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
+        ctx = field_mod.make_field(p, k)
+        q = ctx.q
         for d in range(0, 5):
             monic = list(polyring.enumerate_monic(ctx, d))
             _require(
@@ -291,6 +293,11 @@ def check_polynomial_counts():
                 len(sf) == polyring.count_squarefree(ctx, d),
                 "polyring",
                 "squarefree count wrong for q=%d d=%d" % (q, d),
+            )
+            _require(
+                list(polyring.enumerate_squarefree(ctx, d)) == sf,
+                "polyring",
+                "squarefree sieve disagrees with the gcd test for q=%d d=%d" % (q, d),
             )
 
 
@@ -429,18 +436,21 @@ def check_distribution():
 
 
 def _pattern_total(group, q):
-    """Sum of pattern probabilities over all multiplicity splittings."""
+    """Sum of pattern probabilities over all multiplicity splittings, added
+    as integer numerators over their common denominator D^(q+1)."""
     classes = beta_classes(group)
     n = q + 1
-    total = Fraction(0)
+    denom = point_denominator(group, q) ** n
+    total = 0
     for split in itertools.product(range(n + 1), repeat=len(classes)):
         if sum(split) != n:
             continue
         mult = {cls.representative: m for cls, m in zip(classes, split) if m}
         weight = math.factorial(n) // math.prod(map(math.factorial, split))
         weight *= math.prod((group.size // c.e) ** m for c, m in zip(classes, split))
-        total += weight * pattern_probability(group, q, mult)
-    return total
+        pr = pattern_probability(group, q, mult)
+        total += weight * pr.numerator * (denom // pr.denominator)
+    return Fraction(total, denom)
 
 
 def check_pattern_totals():

@@ -5,7 +5,8 @@ Elements of F_q are encoded as the integers 0..q-1.  For k = 1 the encoding
 is the residue itself; for k > 1 an element a_0 + a_1*t + ... + a_{k-1}*t^{k-1}
 of F_p[t]/(modulus) is encoded as the base-p integer a_0 + a_1*p + ... .
 The modulus is the encoding-least monic irreducible of degree k, so the
-encoding is deterministic.
+encoding is deterministic.  For k > 1, addition and negation read Zech
+logarithm and negation tables; digits are decoded only while building.
 
 All characters are powers of one fixed character of order q-1 attached to the
 stored generator: chi_m(g^k) = zeta_m^(k mod m).  This makes the family
@@ -210,19 +211,31 @@ class FieldCtx:
             dlog[v] = i
         self._exp = exp
         self._dlog = dlog
+        if self.k > 1:
+            # 1 + a changes only the lowest base-p digit of the encoding.
+            p, half = self.p, (q - 1) // 2
+            one_plus = [a + 1 if a % p != p - 1 else a + 1 - p for a in exp]
+            self._zech = [dlog[a] for a in one_plus]  # None where 1 + g^i = 0
+            self._neg = [0] + [
+                a if p == 2 else exp[(dlog[a] + half) % (q - 1)] for a in range(1, q)
+            ]
 
     # -- arithmetic on encodings ----------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        if a == 0 or b == 0:
+            return a or b
+        # g^i + g^j = g^i (1 + g^(j-i)), with the Zech log of 1 + g^(j-i)
+        la, n = self._dlog[a], self.q - 1
+        z = self._zech[(self._dlog[b] - la) % n]
+        return 0 if z is None else self._exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return -a % self.p
-        return self._encode([-x % self.p for x in self._decode(a)])
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

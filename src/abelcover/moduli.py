@@ -273,7 +273,8 @@ def space_tuples(
         budget = int(os.environ.get("ABCOVER_BUDGET", DEFAULT_BUDGET))
     bound = space_size_bound(ctx, G, dv)
     if bound > budget:
-        raise BudgetExceeded(bound, budget)
+        exact = sum(component_sizes(ctx, G, dv).values())
+        raise BudgetExceeded(bound, budget, exact)
     return (
         (tag, polys)
         for tag, degmap in component_degree_maps(G, dv)

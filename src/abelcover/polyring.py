@@ -10,7 +10,7 @@ coefficients.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, compress, groupby, product, repeat
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
@@ -208,14 +208,58 @@ def is_irreducible(f: Polynomial) -> bool:
 
 def enumerate_monic(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
     """All monic polynomials of degree d, in base-q code order."""
-    q = ctx.q
-    for code in range(q**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % q)
-            c //= q
-        yield Polynomial(ctx, coeffs + [1])
+    return _monic_where(ctx, d, repeat(1))
+
+
+def _monic_where(ctx: FieldCtx, d: int, flags) -> Iterator[Polynomial]:
+    # product() turns its last digit fastest, so the digits are a_(d-1)..a_0.
+    for digits in compress(product(range(ctx.q), repeat=d), flags):
+        yield Polynomial(ctx, digits[::-1] + (1,))
+
+
+def _sieve(ctx: FieldCtx, d: int, divisors) -> bytearray:
+    """One flag per monic degree-d code, cleared on every multiple of a monic
+    divisor.  f = x^d + high + low, with low of degree < e = deg S, is a
+    multiple of S iff low = -((x^d + high) mod S): the walk runs over the
+    high coefficients and reads low off the rows x^t mod S."""
+    q, add, mul, neg = ctx.q, ctx.add, ctx.mul, ctx.neg
+    flags = bytearray(b"\x01") * q**d
+    powers = [q**i for i in range(d)]
+    for S in divisors:
+        s, e = S.coeffs, S.degree
+        rows = [[neg(c) for c in s[:-1]]]  # x^e mod S
+        for _ in range(e, d):
+            top, row = rows[-1][-1], [0] + rows[-1][:-1]
+            rows.append([ctx.sub(a, mul(top, c)) for a, c in zip(row, s)])
+        # scaled[t - e][c] = -c * (x^t mod S)
+        scaled = [[[neg(mul(c, a)) for a in r] for c in range(q)] for r in rows[:-1]]
+
+        def walk(t, low, code):
+            if t < e:
+                flags[code + sum(map(int.__mul__, low, powers))] = 0
+                return
+            for c, w in enumerate(scaled[t - e]):
+                walk(t - 1, list(map(add, low, w)), code + c * powers[t])
+
+        walk(d - 1, [neg(a) for a in rows[-1]], 0)
+    return flags
+
+
+def _irreducibles(ctx: FieldCtx, m: int, found: dict) -> list[Polynomial]:
+    """The monic irreducibles of degree m, in code order: the degree-m codes
+    that no irreducible of degree <= m/2 divides.  found memoises degrees."""
+    if m not in found:
+        small = [P for j in range(1, m // 2 + 1) for P in _irreducibles(ctx, j, found)]
+        found[m] = list(_monic_where(ctx, m, _sieve(ctx, m, small)))
+    return found[m]
+
+
+def _squarefree_flags(ctx: FieldCtx, d: int) -> bytearray:
+    """Flag per monic degree-d code: cleared on P^2 g for every monic
+    irreducible P with 2 deg P <= d."""
+    found: dict = {}
+    small = (P for m in range(1, d // 2 + 1) for P in _irreducibles(ctx, m, found))
+    return _sieve(ctx, d, [P * P for P in small])
 
 
 def enumerate_squarefree(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
@@ -223,9 +267,7 @@ def enumerate_squarefree(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
 
     d = 0 yields exactly the constant 1.
     """
-    for f in enumerate_monic(ctx, d):
-        if is_squarefree(f):
-            yield f
+    return _monic_where(ctx, d, _squarefree_flags(ctx, d))
 
 
 def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
@@ -234,18 +276,21 @@ def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
 
     Keys are visited in sorted order; within a key candidates follow the
     enumerate_squarefree order, with incremental gcd rejection against the
-    already-chosen coordinates.
+    already-chosen coordinates.  The squarefree flags of each degree are
+    sieved once per call.
     """
     keys = sorted(degrees)
     if not keys:
         yield {}
         return
+    flags = {d: _squarefree_flags(ctx, d) for d in set(degrees.values())}
 
     def rec(i: int, chosen: list[Polynomial]) -> Iterator[dict]:
         if i == len(keys):
             yield dict(zip(keys, chosen))
             return
-        for f in enumerate_squarefree(ctx, degrees[keys[i]]):
+        d = degrees[keys[i]]
+        for f in _monic_where(ctx, d, flags[d]):
             if f.degree >= 1 and any(
                 g.degree >= 1 and poly_gcd(f, g).degree > 0 for g in chosen
             ):

@@ -1,10 +1,15 @@
 """Tests for the command-line interface and the cross-check suite."""
 
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
-from abelcover import cli
+from abelcover import cli, polyring
+from abelcover.distribution import pattern_probability
+from abelcover.groupcomb import GroupSpec, beta_classes
 from abelcover.field import CharValue, character
 
 
@@ -325,3 +330,32 @@ def test_verify_fails_on_wrong_component_sizes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "component_sizes", off_by_one)
     assert cli.main(["verify"]) == 1
     assert "FAIL oracle" in capsys.readouterr().out
+
+
+def test_verify_catches_a_sieve_that_keeps_a_square(monkeypatch, capsys):
+    real = polyring._squarefree_flags
+
+    def keeps_x_to_the_d(ctx, d):
+        flags = real(ctx, d)
+        flags[0] = 1  # x^d, a square for d >= 2
+        return flags
+
+    monkeypatch.setattr(polyring, "_squarefree_flags", keeps_x_to_the_d)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL polyring (squarefree sieve disagrees" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("r,q", [((2,), 3), ((2,), 5), ((3,), 7), ((2, 2), 5)])
+def test_pattern_total_equals_the_fraction_sum(r, q):
+    group = GroupSpec(r)
+    classes = beta_classes(group)
+    n = q + 1
+    total = Fraction(0)
+    for split in itertools.product(range(n + 1), repeat=len(classes)):
+        if sum(split) != n:
+            continue
+        mult = {cls.representative: m for cls, m in zip(classes, split) if m}
+        weight = math.factorial(n) // math.prod(map(math.factorial, split))
+        weight *= math.prod((group.size // c.e) ** m for c, m in zip(classes, split))
+        total += weight * pattern_probability(group, q, mult)
+    assert cli._pattern_total(group, q) == total == 1

@@ -131,3 +131,35 @@ def test_char_value_arithmetic():
         i.times(CharValue.root(2, 1))
     with pytest.raises(BadOrder):
         CharValue.root(3, 1).in_order(4)
+
+
+def digitwise(ctx):
+    """Addition and negation by base-p digits of the encoding."""
+    p, k = ctx.p, ctx.k
+
+    def decode(a):
+        return [a // p**i % p for i in range(k)]
+
+    def encode(digits):
+        return sum(c * p**i for i, c in enumerate(digits))
+
+    def add(a, b):
+        return encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
+
+    def neg(a):
+        return encode([-x % p for x in decode(a)])
+
+    return add, neg
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (11, 2)]
+)
+def test_zech_addition_matches_digitwise_definition(p, k):
+    ctx = make_field(p, k)
+    add, neg = digitwise(ctx)
+    for a in range(ctx.q):
+        assert ctx.neg(a) == neg(a)
+        for b in range(ctx.q):
+            assert ctx.add(a, b) == add(a, b)
+            assert ctx.sub(a, b) == add(a, neg(b))

@@ -217,6 +217,19 @@ def test_budget_gate(f5):
         list(enumerate_space(f5, G, dv, budget=1000))
 
 
+def test_budget_message_names_bound_budget_and_exact_size(f5):
+    G = GroupSpec((2,))
+    dv = normalize_degrees(G, {(1,): 8})
+    bound = space_size_bound(f5, G, dv)
+    exact = sum(component_sizes(f5, G, dv).values())
+    assert exact < bound
+    with pytest.raises(BudgetExceeded) as info:
+        list(enumerate_space(f5, G, dv, budget=1000))
+    error = info.value
+    assert (error.size, error.budget, error.exact) == (bound, 1000, exact)
+    assert str(error) == "space size %d: bound %d exceeds budget 1000" % (exact, bound)
+
+
 def test_budget_env_override(f5, monkeypatch):
     monkeypatch.setenv("ABCOVER_BUDGET", "10")
     G = GroupSpec((2,))

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelcover.errors import FieldMismatch, ZeroPolynomial
+from abelcover import polyring
 from abelcover.field import make_field
+from abelcover.numtheory import count_irreducibles
 from abelcover.polyring import (
     Polynomial,
     count_coprime_tuples,
@@ -179,3 +181,68 @@ def test_count_matches_enumeration(p, k, degrees):
     ctx = make_field(p, k)
     enumerated = sum(1 for _ in enumerate_coprime_tuples(ctx, dict(enumerate(degrees))))
     assert count_coprime_tuples(ctx.q, degrees) == enumerated
+
+
+# Largest degree per field whose gcd filter runs in under a second.
+SIEVE_DEGREES = {
+    (2, 1): 13, (3, 1): 8, (2, 2): 7, (5, 1): 6, (7, 1): 5, (2, 3): 4, (3, 2): 4
+}
+
+
+def gcd_filtered(ctx, d):
+    return [f for f in enumerate_monic(ctx, d) if is_squarefree(f)]
+
+
+@pytest.mark.parametrize("p,k", sorted(SIEVE_DEGREES))
+def test_squarefree_sieve_matches_gcd_filter(p, k):
+    ctx = make_field(p, k)
+    for d in range(SIEVE_DEGREES[p, k] + 1):
+        assert list(enumerate_squarefree(ctx, d)) == gcd_filtered(ctx, d), d
+
+
+@pytest.mark.parametrize(
+    "p,k,top",
+    [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (7, 1, 3), (2, 3, 3), (3, 2, 3)],
+)
+def test_sieved_irreducibles_are_the_irreducibles(p, k, top):
+    ctx = make_field(p, k)
+    found = {}
+    for m in range(1, top + 1):
+        irreducibles = polyring._irreducibles(ctx, m, found)
+        assert len(irreducibles) == count_irreducibles(ctx.q, m)
+        assert all(f.is_monic and f.degree == m for f in irreducibles)
+        assert all(is_irreducible(f) for f in irreducibles)
+
+
+# Fields of the coprime-tuple property, with a cap on q^(sum of degrees).
+PROPERTY_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
+
+
+@st.composite
+def field_and_degrees(draw):
+    p, k = draw(st.sampled_from(PROPERTY_FIELDS))
+    q, room, degrees = p**k, 3000, {}
+    for key in draw(st.permutations("abc"))[: draw(st.integers(2, 3))]:
+        top = 0
+        while q ** (top + 1) <= room and top < 4:
+            top += 1
+        degrees[key] = draw(st.integers(0, top))
+        room //= q ** degrees[key]
+    return p, k, degrees
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_and_degrees())
+def test_coprime_tuples_match_brute_force(case):
+    """The walk is the product of the gcd-filtered candidates in sorted-key
+    order, cut to the pairwise coprime tuples, and has the counted size."""
+    p, k, degrees = case
+    ctx = make_field(p, k)
+    keys = sorted(degrees)
+    brute = [
+        dict(zip(keys, t))
+        for t in itertools.product(*(gcd_filtered(ctx, degrees[key]) for key in keys))
+        if all(poly_gcd(f, g).degree == 0 for f, g in itertools.combinations(t, 2))
+    ]
+    assert list(enumerate_coprime_tuples(ctx, degrees)) == brute
+    assert len(brute) == count_coprime_tuples(ctx.q, degrees.values())
