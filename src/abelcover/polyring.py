@@ -218,8 +218,8 @@ def _monic_where(ctx: FieldCtx, d: int, flags) -> Iterator[Polynomial]:
 
 
 def _sieve(ctx: FieldCtx, d: int, divisors) -> bytearray:
-    """One flag per monic degree-d code, cleared on every multiple of a monic
-    divisor.  f = x^d + high + low, with low of degree < e = deg S, is a
+    """One flag per monic degree-d code, cleared on the multiples of each
+    monic S in divisors.  f = x^d + high + low, with deg low < e = deg S, is a
     multiple of S iff low = -((x^d + high) mod S): the walk runs over the
     high coefficients and reads low off the rows x^t mod S."""
     q, add, mul, neg = ctx.q, ctx.add, ctx.mul, ctx.neg
