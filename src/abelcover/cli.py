@@ -29,7 +29,12 @@ from fractions import Fraction
 
 from . import field as field_mod
 from . import polyring
-from .counting import count_points, oracle_count, space_count_histogram
+from .counting import (
+    count_points,
+    oracle_count,
+    space_count_histogram,
+    space_pattern_histogram,
+)
 from .distribution import (
     compare,
     pattern_probability,
@@ -43,6 +48,7 @@ from .groupcomb import (
     a_beta,
     beta_classes,
     check_admissible_decomposition,
+    class_of,
     enumerate_index_pairs,
     phi_G,
     ram_exponent,
@@ -359,8 +365,9 @@ def check_genus():
 
 
 def check_oracle():
-    """Character-sum counts against the brute-force fibre oracle, and the
-    number of enumerated covers against the counted space size."""
+    """Character-sum counts against the brute-force fibre oracle, the
+    number of enumerated covers against the counted space size, and both
+    bulk histograms against the per-cover counts."""
     jobs = [
         (3, 1, (2,), {"1": 2}),
         (5, 1, (2,), {"1": 4}),
@@ -380,8 +387,12 @@ def check_oracle():
             "%d covers enumerated, not the counted size, for q=%d r=%s"
             % (len(covers), ctx.q, r),
         )
+        counts, patterns = Counter(), Counter()
         for cover in covers:
             report = count_points(ctx, group, cover)
+            counts[report.total] += 1
+            zero = report.points[0]
+            patterns[(class_of(group, zero.beta).representative, zero.count > 0)] += 1
             for ev in report.points:
                 if ev.x == "inf":
                     continue
@@ -399,6 +410,17 @@ def check_oracle():
                     "oracle",
                     "inadmissible pattern at x=%s for q=%d r=%s" % (ev.x, ctx.q, r),
                 )
+        _require(
+            space_count_histogram(ctx, group, dv) == counts,
+            "oracle",
+            "bulk count histogram disagrees with the covers for q=%d r=%s" % (ctx.q, r),
+        )
+        _require(
+            space_pattern_histogram(ctx, group, dv, 0) == patterns,
+            "oracle",
+            "bulk pattern histogram (x=0) disagrees with the covers for q=%d r=%s"
+            % (ctx.q, r),
+        )
 
 
 def check_distribution():

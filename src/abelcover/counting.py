@@ -14,13 +14,20 @@ cyclotomic-integer cross-check confirms the dichotomy against the literal
 root-of-unity sum, and a brute-force y-search oracle confirms it at
 unramified points.
 
-There is one evaluation path: _component_point_data gives, at each of the
-q+1 points, beta_x and per pair the exponent sum_alpha e_alpha dlog f_alpha(x)
-mod ell (None where a factor vanishes), e_alpha = pair_weight(pair, alpha).
-There is one count rule: _count_above adds the c-part exponent
-pair_weight(pair, dlog c) to that state and applies the dichotomy.
-count_points (of which eval_at reads one point) calls it per point; both
-bulk histograms read it through _space_rows, memoised per point state.
+There is one evaluation path, through point keys.  The key of f at x is 0
+where f(x) = 0, else 1 + dlog f(x) mod exp(G); exp(G) is a multiple of every
+ell, so the keys fix every exponent.  The key -> state rule
+(_point_state) maps the key vector of the f_alpha at x to the point
+state (beta_x, {pair: exponent or None}): beta_x the vanishing alpha, the
+exponent sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor
+vanishes, e_alpha = pair_weight(pair, alpha).  _component_point_data gives
+the q+1 states of a tuple, memoised per key vector; count_points computes
+its keys by Horner evaluation and dlog, the bulk walk reads them from
+per-degree key tables by base-q code.  There is one count rule:
+_count_above adds the c-part exponent pair_weight(pair, dlog c) to a state
+and applies the dichotomy.  count_points (of which eval_at reads one point)
+calls it per point; both bulk histograms read it through _space_rows,
+memoised per point state.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -240,48 +248,124 @@ def _point_index(ctx: FieldCtx, x) -> int:
 
 
 @lru_cache(maxsize=None)
-def _exponent_table(G: GroupSpec) -> tuple:
-    """(pair, ell, ((alpha, e_alpha) for every e_alpha != 0)) per pair."""
-    alphas = G.nonzero_vectors()
+def _exponent_table(G: GroupSpec, alphas: tuple) -> tuple:
+    """(pair, ell, ((i, e_alpha) for every e_alpha != 0)) per pair, i the
+    position of alpha in alphas (which must hold every nonzero alpha)."""
     table = []
     for pair in enumerate_index_pairs(G):
-        exps = ((alpha, pair_weight(pair, alpha)) for alpha in alphas)
-        table.append((pair, pair.ell, tuple((a, e) for a, e in exps if e)))
+        exps = ((alphas.index(a), pair_weight(pair, a)) for a in G.nonzero_vectors())
+        table.append((pair, pair.ell, tuple((i, e) for i, e in exps if e)))
     return tuple(table)
 
 
-def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
+def _key_table(ctx: FieldCtx, E: int, d: int):
+    """The keys of every monic degree-d polynomial at every x, code-major:
+    entry code * q + x is 0 where f(x) = 0, else 1 + dlog f(x) mod E, for the
+    f of base-q code a_0 + a_1 q + ...  Per x the values over all codes are
+    built digit by digit, a_i x^i shifting copies of the previous block, with
+    no Horner evaluation.  bytes, or an array of unsigned shorts once
+    E >= 255."""
+    q = ctx.q
+    key = [0] + [1 + ctx.dlog(v) % E for v in range(1, q)]
+    shift = [[ctx.add(v, s) for v in range(q)] for s in range(q)]
+    if E < 255:
+        store = bytes
+    else:  # loaded only here: the array module adds to every process's memory
+        from array import array
+
+        store = partial(array, "H")
+    columns = []
+    for x in range(q):
+        values = [0]  # of the non-leading part, over the codes so far
+        for i in range(d):
+            xi = ctx.pow(x, i)
+            blocks = (map(shift[ctx.mul(a, xi)].__getitem__, values) for a in range(q))
+            values = list(itertools.chain.from_iterable(blocks))
+        lead = shift[ctx.pow(x, d)]
+        columns.append(store(key[lead[v]] for v in values))
+    return store(itertools.chain.from_iterable(zip(*columns)))
+
+
+def _point_state(G: GroupSpec, table: tuple, alphas: tuple, keys: tuple, x) -> tuple:
+    """The key -> state rule.  keys[i] is 0 where f_(alphas[i]) vanishes at
+    x, else 1 + its dlog mod exp(G); table is _exponent_table(G, alphas).
+    The state is (beta_x, {pair: exponent or None}): beta_x the vanishing
+    alpha (0 if none), the exponent sum_alpha e_alpha dlog f_alpha(x) mod
+    ell, None where an f_alpha with e_alpha != 0 vanishes (ell divides
+    exp(G), so the keys suffice)."""
+    vanishing = [alpha for alpha, key in zip(alphas, keys) if not key]
+    if len(vanishing) > 1:
+        raise MultipleVanishing(f"{len(vanishing)} polynomials vanish at {x}")
+    exps = {}
+    for pair, ell, pair_exps in table:
+        acc = 0
+        for i, e in pair_exps:
+            key = keys[i]
+            if not key:
+                acc = None
+                break
+            acc += e * (key - 1)
+        exps[pair] = None if acc is None else acc % ell
+    return (vanishing[0] if vanishing else (0,) * G.n), exps
+
+
+class _Walk:
+    """What one bulk walk shares across its tuples: the key tables, one per
+    degree in use, built on first use and read by base-q code; the memo of
+    point states by key vector, so the pair loop runs once per distinct key
+    vector; and the infinity state per degree map.  Nothing outlives the
+    walk."""
+
+    def __init__(self, ctx: FieldCtx, G: GroupSpec, alphas: tuple):
+        self.ctx, self.E = ctx, G.exponent
+        self.table = _exponent_table(G, alphas)
+        self.tables: dict = {}
+        self.memo: dict = {}
+        self.infinity: dict = {}
+
+    def keys(self, polys: dict) -> list:
+        q, out = self.ctx.q, []
+        for f in polys.values():
+            coeffs = f.coeffs
+            d = len(coeffs) - 1
+            if d not in self.tables:
+                weights = [q ** (i + 1) for i in range(d)]
+                self.tables[d] = _key_table(self.ctx, self.E, d), weights
+            table, weights = self.tables[d]
+            start = sum(map(mul, coeffs, weights))  # q * code; a_d = 1 is left out
+            out.append(table[start : start + q])
+        return out
+
+
+def _component_point_data(
+    ctx: FieldCtx, G: GroupSpec, polys: dict, walk: Optional[_Walk] = None
+) -> list:
     """(beta_x, {pair: exponent or None}) at the q+1 points 0, ..., q-1,
     INFINITY.  The exponent is the dlog of prod_alpha f_alpha(x)^(e_alpha)
     mod ell, None where that is 0, without the c-part; at infinity it is 0,
-    or None when pair_weight(pair, d_vec) != 0."""
-    q = ctx.q
-    table = _exponent_table(G)
-    logs = {}
-    for alpha, f in polys.items():
-        values = [f.evaluate(x) for x in range(q)]
-        logs[alpha] = [None if v == 0 else ctx.dlog(v) for v in values]
-    zero = (0,) * G.n
-    data = []
-    for x in range(q):
-        vanishing = [alpha for alpha in polys if logs[alpha][x] is None]
-        if len(vanishing) > 1:
-            raise MultipleVanishing(f"{len(vanishing)} polynomials vanish at {x}")
-        exps = {}
-        for pair, ell, pair_exps in table:
-            acc = 0
-            for alpha, e in pair_exps:
-                v = logs[alpha][x]
-                if v is None:
-                    acc = None
-                    break
-                acc += e * v
-            exps[pair] = None if acc is None else acc % ell
-        data.append((vanishing[0] if vanishing else zero, exps))
-    d = d_vec(G, {alpha: max(f.degree, 0) for alpha, f in polys.items()})
-    beta_inf = tuple(-dj % rj for dj, rj in zip(d, G.r))
-    inf_exps = {pair: None if pair_weight(pair, d) else 0 for pair, _, _ in table}
-    data.append((beta_inf, inf_exps))
+    or None when pair_weight(pair, d_vec) != 0.  The keys come by Horner
+    evaluation and dlog or, within a walk, from its key tables, and the
+    walk's memos are used.  polys is keyed by every nonzero alpha, in the
+    walk's order."""
+    alphas = tuple(polys)
+    if walk is None:
+        E, table, memo, infinity = G.exponent, _exponent_table(G, alphas), {}, {}
+        values = ([f.evaluate(x) for x in range(ctx.q)] for f in polys.values())
+        keys = [[1 + ctx.dlog(v) % E if v else 0 for v in vs] for vs in values]
+    else:
+        table, memo, infinity = walk.table, walk.memo, walk.infinity
+        keys = walk.keys(polys)
+    data = [
+        memo.get(k) or memo.setdefault(k, _point_state(G, table, alphas, k, x))
+        for x, k in enumerate(zip(*keys))
+    ]
+    degrees = tuple(max(f.degree, 0) for f in polys.values())
+    if degrees not in infinity:
+        d = d_vec(G, dict(zip(alphas, degrees)))
+        beta = tuple(-dj % rj for dj, rj in zip(d, G.r))
+        exps = {pair: None if pair_weight(pair, d) else 0 for pair, _, _ in table}
+        infinity[degrees] = beta, exps
+    data.append(infinity[degrees])
     return data
 
 
@@ -304,21 +388,26 @@ def _unit_exponents(ctx: FieldCtx, G: GroupSpec, units) -> dict:
 
 def _space_rows(ctx, G, dv, budget):
     """Per polynomial tuple of the space, (beta_x, row) at the q+1 points,
-    row[i] the count above x for the i-th leading unit vector.  Rows are
-    memoised on the point state, so the c-block runs once per state."""
-    walk = space_tuples(ctx, G, dv, budget)
+    row[i] the count above x for the i-th leading unit vector.  Point keys
+    are read from per-degree key tables and the count rows are memoised on
+    the point state, so the c-block runs once per state."""
+    tuples = space_tuples(ctx, G, dv, budget)
     units = _unit_exponents(ctx, G, itertools.product(range(1, ctx.q), repeat=G.n))
-    memo = {}
+    walk = _Walk(ctx, G, tuple(sorted(dv.as_dict())))
 
-    def row(beta, exps):
-        key = (beta, tuple(exps.values()))
-        if key not in memo:
-            memo[key] = tuple(_count_above(G, beta, exps, b) for b in units.values())
-        return beta, memo[key]
+    def counts(point):
+        beta, exps = point
+        return beta, tuple(_count_above(G, beta, exps, b) for b in units.values())
 
+    # Point states are shared objects that the walk's memos keep alive to
+    # its end, so the id of a state keys its row.
+    rows = {}
     return (
-        [row(*point) for point in _component_point_data(ctx, G, polys)]
-        for _, polys in walk
+        [
+            rows.get(id(point)) or rows.setdefault(id(point), counts(point))
+            for point in _component_point_data(ctx, G, polys, walk)
+        ]
+        for _, polys in tuples
     )
 
 

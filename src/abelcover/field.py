@@ -147,14 +147,9 @@ class FieldCtx:
     def _least_irreducible(self) -> tuple[int, ...]:
         """Encoding-least monic irreducible of degree k over F_p."""
         p, k = self.p, self.k
-        monics: dict[int, list[list[int]]] = {}
 
-        def all_monic(d):
-            if d not in monics:
-                monics[d] = [
-                    [code // p**i % p for i in range(d)] + [1] for code in range(p**d)
-                ]
-            return monics[d]
+        def monic(d):
+            return ([code // p**i % p for i in range(d)] + [1] for code in range(p**d))
 
         def divides(g, f):
             # monic g | f over F_p, schoolbook remainder check
@@ -167,10 +162,9 @@ class FieldCtx:
                         rem[i - dg + j] = (rem[i - dg + j] - c * g[j]) % p
             return not any(rem[:dg])
 
-        for f in all_monic(k):
-            if all(
-                not divides(g, f) for d in range(1, k // 2 + 1) for g in all_monic(d)
-            ):
+        small = [g for d in range(1, k // 2 + 1) for g in monic(d)]
+        for f in monic(k):
+            if not any(divides(g, f) for g in small):
                 return tuple(f)
         raise AssertionError("no irreducible found")  # pragma: no cover
 
@@ -200,11 +194,18 @@ class FieldCtx:
                 break
         assert gen is not None
         self.generator = gen
+        # a -> a*g is F_p-linear in the digits of a, so a*g is the digitwise
+        # sum of (low digits of a)*g and (high digits of a)*g, both tabled.
+        p, half = self.p, self.p ** (self.k // 2)
+        low = [self._decode(self._raw_mul(a, gen)) for a in range(half)]
+        high = [self._decode(self._raw_mul(a * half, gen)) for a in range(q // half)]
+        powers = [p**j for j in range(self.k)]
         exp = [0] * (q - 1)
         a = 1
         for i in range(q - 1):
             exp[i] = a
-            a = self._raw_mul(a, gen)
+            h, l = divmod(a, half)
+            a = sum((u + v) % p * w for u, v, w in zip(low[l], high[h], powers))
         assert a == 1
         dlog: list[Optional[int]] = [None] * q
         for i, v in enumerate(exp):
@@ -213,7 +214,7 @@ class FieldCtx:
         self._dlog = dlog
         if self.k > 1:
             # 1 + a changes only the lowest base-p digit of the encoding.
-            p, half = self.p, (q - 1) // 2
+            half = (q - 1) // 2
             one_plus = [a + 1 if a % p != p - 1 else a + 1 - p for a in exp]
             self._zech = [dlog[a] for a in one_plus]  # None where 1 + g^i = 0
             self._neg = [0] + [

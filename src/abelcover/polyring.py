@@ -217,31 +217,40 @@ def _monic_where(ctx: FieldCtx, d: int, flags) -> Iterator[Polynomial]:
         yield Polynomial(ctx, digits[::-1] + (1,))
 
 
+def _multiples(ctx: FieldCtx, d: int, S: Polynomial) -> list[int]:
+    """Codes of the monic degree-d multiples of the monic S.  f = x^d + high
+    + low, with deg low < e = deg S, is a multiple of S iff
+    low = -((x^d + high) mod S): the walk runs over the high coefficients
+    and reads low off the rows x^t mod S."""
+    q, add, mul, neg = ctx.q, ctx.add, ctx.mul, ctx.neg
+    powers = [q**i for i in range(d)]
+    s, e = S.coeffs, S.degree
+    rows = [[neg(c) for c in s[:-1]]]  # x^e mod S
+    for _ in range(e, d):
+        top, row = rows[-1][-1], [0] + rows[-1][:-1]
+        rows.append([ctx.sub(a, mul(top, c)) for a, c in zip(row, s)])
+    # scaled[t - e][c] = -c * (x^t mod S)
+    scaled = [[[neg(mul(c, a)) for a in r] for c in range(q)] for r in rows[:-1]]
+    codes = []
+
+    def walk(t, low, code):
+        if t < e:
+            codes.append(code + sum(map(int.__mul__, low, powers)))
+            return
+        for c, w in enumerate(scaled[t - e]):
+            walk(t - 1, list(map(add, low, w)), code + c * powers[t])
+
+    walk(d - 1, [neg(a) for a in rows[-1]], 0)
+    return codes
+
+
 def _sieve(ctx: FieldCtx, d: int, divisors) -> bytearray:
     """One flag per monic degree-d code, cleared on the multiples of each
-    monic S in divisors.  f = x^d + high + low, with deg low < e = deg S, is a
-    multiple of S iff low = -((x^d + high) mod S): the walk runs over the
-    high coefficients and reads low off the rows x^t mod S."""
-    q, add, mul, neg = ctx.q, ctx.add, ctx.mul, ctx.neg
-    flags = bytearray(b"\x01") * q**d
-    powers = [q**i for i in range(d)]
+    monic S in divisors."""
+    flags = bytearray(b"\x01") * ctx.q**d
     for S in divisors:
-        s, e = S.coeffs, S.degree
-        rows = [[neg(c) for c in s[:-1]]]  # x^e mod S
-        for _ in range(e, d):
-            top, row = rows[-1][-1], [0] + rows[-1][:-1]
-            rows.append([ctx.sub(a, mul(top, c)) for a, c in zip(row, s)])
-        # scaled[t - e][c] = -c * (x^t mod S)
-        scaled = [[[neg(mul(c, a)) for a in r] for c in range(q)] for r in rows[:-1]]
-
-        def walk(t, low, code):
-            if t < e:
-                flags[code + sum(map(int.__mul__, low, powers))] = 0
-                return
-            for c, w in enumerate(scaled[t - e]):
-                walk(t - 1, list(map(add, low, w)), code + c * powers[t])
-
-        walk(d - 1, [neg(a) for a in rows[-1]], 0)
+        for code in _multiples(ctx, d, S):
+            flags[code] = 0
     return flags
 
 
@@ -262,6 +271,25 @@ def _squarefree_flags(ctx: FieldCtx, d: int) -> bytearray:
     return _sieve(ctx, d, [P * P for P in small])
 
 
+def _factor_masks(ctx: FieldCtx, degrees, top: int) -> dict[int, list[int]]:
+    """Per degree d in degrees, one mask per monic degree-d code: bit i is
+    set iff the i-th monic irreducible of degree <= top (by degree, then
+    code) divides it.  Two codes whose common factors can only have degree
+    <= top are coprime iff their masks are disjoint."""
+    found: dict = {}
+    small = [P for m in range(1, top + 1) for P in _irreducibles(ctx, m, found)]
+    out = {}
+    for d in degrees:
+        masks = [0] * ctx.q**d
+        for bit, P in enumerate(small):
+            if P.degree > d:
+                break
+            for code in _multiples(ctx, d, P):
+                masks[code] |= 1 << bit
+        out[d] = masks
+    return out
+
+
 def enumerate_squarefree(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
     """The set of monic squarefree polynomials of degree d, each exactly once.
 
@@ -275,31 +303,36 @@ def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
     prescribed degrees, keyed like ``degrees``, each exactly once.
 
     Keys are visited in sorted order; within a key candidates follow the
-    enumerate_squarefree order, with incremental gcd rejection against the
-    already-chosen coordinates.  The squarefree flags of each degree are
-    sieved once per call.
+    enumerate_squarefree order, and a candidate whose factor mask meets
+    those of the already-chosen coordinates is skipped.  The squarefree
+    flags of each degree are sieved once per call, the factor masks too
+    when two or more coordinates have positive degree: a common factor of
+    two coordinates has at most the second largest degree.
     """
     keys = sorted(degrees)
     if not keys:
         yield {}
         return
+    q = ctx.q
     flags = {d: _squarefree_flags(ctx, d) for d in set(degrees.values())}
+    positive = sorted(d for d in degrees.values() if d > 0)
+    masks = _factor_masks(ctx, set(positive), positive[-2]) if len(positive) > 1 else {}
 
-    def rec(i: int, chosen: list[Polynomial]) -> Iterator[dict]:
+    def rec(i: int, chosen: list[Polynomial], used: int) -> Iterator[dict]:
         if i == len(keys):
             yield dict(zip(keys, chosen))
             return
         d = degrees[keys[i]]
-        for f in _monic_where(ctx, d, flags[d]):
-            if f.degree >= 1 and any(
-                g.degree >= 1 and poly_gcd(f, g).degree > 0 for g in chosen
-            ):
+        # product() turns its last digit fastest, so the digits are a_(d-1)..a_0.
+        candidates = zip(product(range(q), repeat=d), masks.get(d) or repeat(0))
+        for digits, mask in compress(candidates, flags[d]):
+            if mask & used:
                 continue
-            chosen.append(f)
-            yield from rec(i + 1, chosen)
+            chosen.append(Polynomial(ctx, digits[::-1] + (1,)))
+            yield from rec(i + 1, chosen, used | mask)
             chosen.pop()
 
-    yield from rec(0, [])
+    yield from rec(0, [], 0)
 
 
 def count_coprime_tuples(q: int, degrees) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from abelcover import cli, polyring
+from abelcover import cli, counting, polyring
 from abelcover.distribution import pattern_probability
 from abelcover.groupcomb import GroupSpec, beta_classes
 from abelcover.field import CharValue, character
@@ -343,6 +343,20 @@ def test_verify_catches_a_sieve_that_keeps_a_square(monkeypatch, capsys):
     monkeypatch.setattr(polyring, "_squarefree_flags", keeps_x_to_the_d)
     assert cli.main(["verify"]) == 1
     assert "FAIL polyring (squarefree sieve disagrees" in capsys.readouterr().out
+
+
+def test_verify_catches_a_key_table_off_at_one_code(monkeypatch, capsys):
+    real = counting._key_table
+
+    def off_at_one_code(ctx, E, d):
+        table = bytearray(real(ctx, E, d))
+        if d:  # x^d + 1 at x = 0: a root where there is none
+            table[ctx.q] = 0
+        return bytes(table)
+
+    monkeypatch.setattr(counting, "_key_table", off_at_one_code)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL oracle (bulk count histogram disagrees" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("r,q", [((2,), 3), ((2,), 5), ((3,), 7), ((2, 2), 5)])

@@ -11,6 +11,7 @@ from abelcover.counting import (
     INFINITY,
     _component_point_data,
     _cyclotomic_poly,
+    _key_table,
     count_points,
     derived_polys,
     eval_at,
@@ -35,7 +36,8 @@ from abelcover.moduli import (
     space_size_bound,
     space_tuples,
 )
-from abelcover.polyring import Polynomial
+from abelcover.numtheory import divisors
+from abelcover.polyring import Polynomial, enumerate_monic
 
 
 @pytest.fixture(scope="module")
@@ -375,3 +377,40 @@ def test_counts_match_oracle_over_extension_fields(p, k, r, degrees):
                 assert pt.count == oracle_count(ctx, G, cover, pt.x)
                 checked += 1
     assert checked
+
+
+def horner_keys(ctx, E, f):
+    return [1 + ctx.dlog(v) % E if v else 0 for v in map(f.evaluate, range(ctx.q))]
+
+
+# Largest degree per field whose key tables are checked code by code.
+KEY_TABLE_DEGREES = {
+    (2, 1): 8, (3, 1): 5, (2, 2): 4, (5, 1): 4, (7, 1): 3, (2, 3): 3, (3, 2): 3,
+    (5, 2): 1,
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(KEY_TABLE_DEGREES))
+def test_key_tables_match_horner_and_dlog(p, k):
+    """Every code's row of the key table, for every exponent a group over
+    F_q can have, against Polynomial.evaluate and dlog."""
+    ctx = make_field(p, k)
+    q = ctx.q
+    for E in divisors(q - 1):
+        for d in range(KEY_TABLE_DEGREES[p, k] + 1):
+            table = _key_table(ctx, E, d)
+            assert isinstance(table, bytes) and len(table) == q ** (d + 1)
+            for code, f in enumerate(enumerate_monic(ctx, d)):
+                assert list(table[code * q : (code + 1) * q]) == horner_keys(ctx, E, f)
+
+
+def test_wide_key_table_matches_horner_and_dlog():
+    """exp(G) = 256 over F_257: keys up to 256 need the wide storage."""
+    ctx = make_field(257)
+    q = ctx.q
+    for d in (0, 1):
+        table = _key_table(ctx, 256, d)
+        assert table.typecode == "H" and len(table) == q ** (d + 1)
+        for code, f in enumerate(enumerate_monic(ctx, d)):
+            assert list(table[code * q : (code + 1) * q]) == horner_keys(ctx, 256, f)
+    assert max(table) == 256

@@ -163,3 +163,30 @@ def test_zech_addition_matches_digitwise_definition(p, k):
         for b in range(ctx.q):
             assert ctx.add(a, b) == add(a, b)
             assert ctx.sub(a, b) == add(a, neg(b))
+
+
+def stepped_tables(ctx):
+    """The tables as built by stepping a -> a*g through _raw_mul, with the
+    Zech and negation tables derived from them the same way as the field."""
+    q, p = ctx.q, ctx.p
+    exp, a = [], 1
+    for _ in range(q - 1):
+        exp.append(a)
+        a = ctx._raw_mul(a, ctx.generator)
+    dlog = [None] * q
+    for i, v in enumerate(exp):
+        dlog[v] = i
+    one_plus = [a + 1 if a % p != p - 1 else a + 1 - p for a in exp]
+    zech = [dlog[a] for a in one_plus]
+    neg = [0] + [
+        a if p == 2 else exp[(dlog[a] + (q - 1) // 2) % (q - 1)] for a in range(1, q)
+    ]
+    return exp, dlog, zech, neg
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 12), (3, 5)]
+)
+def test_tables_match_raw_mul_stepping(p, k):
+    ctx = make_field(p, k)
+    assert (ctx._exp, ctx._dlog, ctx._zech, ctx._neg) == stepped_tables(ctx)

@@ -246,3 +246,23 @@ def test_coprime_tuples_match_brute_force(case):
     ]
     assert list(enumerate_coprime_tuples(ctx, degrees)) == brute
     assert len(brute) == count_coprime_tuples(ctx.q, degrees.values())
+
+
+@pytest.mark.parametrize(
+    "p,k,top", [(2, 1, 6), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 1)]
+)
+def test_factor_masks_match_gcd(p, k, top):
+    """Over every pair of squarefree codes of degree <= top + 1 whose common
+    factors have degree <= top, disjoint factor masks are exactly the
+    coprime pairs."""
+    ctx = make_field(p, k)
+    masks = polyring._factor_masks(ctx, range(1, top + 2), top)
+    codes = [
+        (f, masks[d][code])
+        for d in range(1, top + 2)
+        for code, f in enumerate(enumerate_monic(ctx, d))
+        if is_squarefree(f)
+    ]
+    for (f, mf), (g, mg) in itertools.product(codes, repeat=2):
+        if min(f.degree, g.degree) <= top:
+            assert (not mf & mg) == (poly_gcd(f, g).degree == 0), (f, g)
