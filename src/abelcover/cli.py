@@ -366,8 +366,9 @@ def check_genus():
 
 def check_oracle():
     """Character-sum counts against the brute-force fibre oracle, the
-    number of enumerated covers against the counted space size, and both
-    bulk histograms against the per-cover counts."""
+    number of enumerated covers against the counted space size, sampled
+    covers against the enumerated ones, and both bulk histograms against
+    the per-cover counts."""
     jobs = [
         (3, 1, (2,), {"1": 2}),
         (5, 1, (2,), {"1": 4}),
@@ -386,6 +387,12 @@ def check_oracle():
             "oracle",
             "%d covers enumerated, not the counted size, for q=%d r=%s"
             % (len(covers), ctx.q, r),
+        )
+        population = set(covers)
+        _require(
+            all(cover in population for cover in sample_space(ctx, group, dv, 20, 0)),
+            "oracle",
+            "a sampled cover is not in the enumerated space for q=%d r=%s" % (ctx.q, r),
         )
         counts, patterns = Counter(), Counter()
         for cover in covers:

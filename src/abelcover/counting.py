@@ -170,13 +170,28 @@ def _cyclotomic_consistent(values, count: int, r_n: int) -> bool:
     return not any(_divmod_z(vec, _cyclotomic_poly(r_n))[1])
 
 
+@lru_cache(maxsize=None)
+def _support(G: GroupSpec, beta) -> tuple:
+    """A_beta as (pair, ell) entries, and its complement: the pairs whose
+    value is 0 at a root of f_beta."""
+    surviving = a_beta(G, beta)
+    vanishing = frozenset(enumerate_index_pairs(G)) - surviving
+    return tuple((pair, pair.ell) for pair in surviving), vanishing
+
+
+@lru_cache(maxsize=None)
+def _char_values(ell: int) -> tuple:
+    """The values of an order-ell character: 0, then zeta^0, ..., zeta^(ell-1)."""
+    return (CharValue.zero(ell), *(CharValue.root(ell, e) for e in range(ell)))
+
+
 def _count_above(G: GroupSpec, beta, exps: dict, b: dict) -> int:
     """The A_beta dichotomy at one point: |A_beta| when every surviving pair
     has value 1 (exps[pair] + b[pair] = 0 mod ell, b the c-part), else 0."""
-    surviving = a_beta(G, beta)
-    for pair in surviving:
+    surviving, _ = _support(G, beta)
+    for pair, ell in surviving:
         a = exps[pair]
-        if a is None or (a + b[pair]) % pair.ell:
+        if a is None or (a + b[pair]) % ell:
             return 0
     return len(surviving)
 
@@ -197,17 +212,23 @@ def count_points(
     the complement of A_beta or, with check=True, where the exact cyclotomic
     sum of the pattern values disagrees with the A_beta dichotomy."""
     c_part = _unit_exponents(ctx, G, [t.c])[t.c]
-    data = _component_point_data(ctx, G, t.polys())
+    polys = t.polys()
+    rows = [
+        (pair, ell, _char_values(ell), c_part[pair])
+        for pair, ell, _ in _exponent_table(G, tuple(polys))
+    ]
+    data = _component_point_data(ctx, G, polys)
     points = []
     for x, (beta, exps) in zip([*range(ctx.q), INFINITY], data):
-        pattern = {
-            pair: CharValue.zero(pair.ell)
-            if a is None
-            else CharValue.root(pair.ell, a + c_part[pair])
-            for pair, a in exps.items()
-        }
-        zero_support = {pair for pair, val in pattern.items() if val.is_zero}
-        if zero_support != pattern.keys() - a_beta(G, beta):
+        pattern, zero_support = {}, set()
+        for pair, ell, values, c in rows:
+            a = exps[pair]
+            if a is None:
+                pattern[pair] = values[0]
+                zero_support.add(pair)
+            else:
+                pattern[pair] = values[1 + (a + c) % ell]
+        if zero_support != _support(G, beta)[1]:
             raise InternalInconsistency(
                 f"vanishing pattern at x={x} is not [beta]-admissible"
             )
@@ -350,8 +371,17 @@ def _component_point_data(
     alphas = tuple(polys)
     if walk is None:
         E, table, memo, infinity = G.exponent, _exponent_table(G, alphas), {}, {}
-        values = ([f.evaluate(x) for x in range(ctx.q)] for f in polys.values())
-        keys = [[1 + ctx.dlog(v) % E if v else 0 for v in vs] for vs in values]
+        add, mul, dlog = ctx.add, ctx.mul, ctx.dlog
+        keys = []
+        for f in polys.values():
+            lead, *rest = f.coeffs[::-1] or (0,)  # Horner, from the top
+            row = []
+            for x in range(ctx.q):
+                v = lead
+                for c in rest:
+                    v = add(mul(v, x), c)
+                row.append(1 + dlog(v) % E if v else 0)
+            keys.append(row)
     else:
         table, memo, infinity = walk.table, walk.memo, walk.infinity
         keys = walk.keys(polys)

@@ -168,12 +168,32 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _remainder(ctx: FieldCtx, a: list, b: list) -> list:
+    """a mod b on coefficient lists, low first; b has a nonzero leading
+    coefficient, and the remainder comes back with trailing zeros stripped."""
+    add, mul = ctx.add, ctx.mul
+    rem = list(a)
+    db = len(b) - 1
+    low, scale = b[:-1], ctx.neg(ctx.inv(b[-1]))
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()  # cancelled by subtracting c / b[-1] times b
+        if c:
+            factor = mul(c, scale)
+            for j in range(db):
+                rem[i - db + j] = add(rem[i - db + j], mul(factor, low[j]))
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd; gcd(0, 0) = 0."""
+    """Monic gcd; gcd(0, 0) = 0.  Euclid runs on the coefficient lists."""
     f._check(g)
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    ctx = f.ctx
+    a, b = f.coeffs, g.coeffs
+    while b:
+        a, b = b, _remainder(ctx, a, b)
+    return Polynomial(ctx, a).monic()
 
 
 def is_squarefree(f: Polynomial) -> bool:
@@ -339,8 +359,15 @@ def count_coprime_tuples(q: int, degrees) -> int:
     """The number of tuples that enumerate_coprime_tuples yields over F_q for
     these degrees: the coefficient of prod_i u_i^(d_i) in the Euler product
     prod_P (1 + sum_i u_i^(deg P)).  Degree-0 coordinates are the constant 1.
+    With one positive degree d this is the number of monic squarefree
+    polynomials of degree d, read off the classical closed form q^d - q^(d-1)
+    (q for d = 1) instead.
     """
-    return _count_from(q, 1, tuple(sorted(d for d in degrees if d > 0)))
+    rest = tuple(sorted(d for d in degrees if d > 0))
+    if len(rest) == 1:
+        d = rest[0]
+        return q if d == 1 else q**d - q ** (d - 1)
+    return _count_from(q, 1, rest)
 
 
 @lru_cache(maxsize=None)
@@ -375,8 +402,4 @@ def _count_from(q: int, m: int, rest: tuple[int, ...]) -> int:
 
 def count_squarefree(ctx: FieldCtx, d: int) -> int:
     """|F_d| by the classical closed form (1, q, q^d - q^(d-1))."""
-    if d == 0:
-        return 1
-    if d == 1:
-        return ctx.q
-    return ctx.q**d - ctx.q ** (d - 1)
+    return count_coprime_tuples(ctx.q, [d])

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from abelcover import cli, counting, polyring
+from abelcover import cli, counting, moduli, polyring
 from abelcover.distribution import pattern_probability
 from abelcover.groupcomb import GroupSpec, beta_classes
 from abelcover.field import CharValue, character
+from abelcover.polyring import is_squarefree
 
 
 def run(capsys, *argv):
@@ -343,6 +344,17 @@ def test_verify_catches_a_sieve_that_keeps_a_square(monkeypatch, capsys):
     monkeypatch.setattr(polyring, "_squarefree_flags", keeps_x_to_the_d)
     assert cli.main(["verify"]) == 1
     assert "FAIL polyring (squarefree sieve disagrees" in capsys.readouterr().out
+
+
+def test_verify_catches_sampling_that_skips_the_coprimality_test(monkeypatch, capsys):
+    def squarefree_only(polys):
+        return all(is_squarefree(f) for f in polys.values() if f.degree >= 1)
+
+    monkeypatch.setattr(moduli, "_accept", squarefree_only)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL oracle (a sampled cover is not in the enumerated space" in (
+        capsys.readouterr().out
+    )
 
 
 def test_verify_catches_a_key_table_off_at_one_code(monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from abelcover import counting
 from abelcover.counting import (
     INFINITY,
     _component_point_data,
@@ -22,11 +23,18 @@ from abelcover.counting import (
 from abelcover.errors import (
     BadOrder,
     DimensionMismatch,
+    InternalInconsistency,
     MultipleVanishing,
     RamifiedPoint,
 )
 from abelcover.field import CharValue, character, make_field
-from abelcover.groupcomb import GroupSpec, class_of, ram_exponent
+from abelcover.groupcomb import (
+    GroupSpec,
+    IndexPair,
+    a_beta,
+    class_of,
+    ram_exponent,
+)
 from abelcover.moduli import (
     d_vec,
     enumerate_space,
@@ -99,6 +107,28 @@ def test_eval_rejects_common_roots(f5):
     bad = make_cover_tuple((1, 1), {(1, 0): f, (0, 1): f, (1, 1): Polynomial.one(f5)})
     with pytest.raises(MultipleVanishing):
         eval_at(f5, G, bad, 1)
+
+
+@pytest.mark.parametrize("r", [(2,), (2, 2)])
+def test_zero_support_check_fires(f5, monkeypatch, r):
+    """A point state in which a pair of A_beta reads None (a vanishing value
+    where the pattern must survive) is refused by count_points."""
+    G = GroupSpec(r)
+    trivial = IndexPair((1,) * G.n, (1,) * G.n)  # in every A_beta
+    real = counting._point_state
+
+    def drops_a_surviving_pair(G, table, alphas, keys, x):
+        beta, exps = real(G, table, alphas, keys, x)
+        assert trivial in a_beta(G, beta)
+        return beta, {**exps, trivial: None}
+
+    monkeypatch.setattr(counting, "_point_state", drops_a_surviving_pair)
+    polys = dict.fromkeys(G.nonzero_vectors(), Polynomial.one(f5))
+    polys[(1,) * G.n] = Polynomial(f5, [1, 0, 1])
+    t = make_cover_tuple((1,) * G.n, polys)
+    for check in (True, False):
+        with pytest.raises(InternalInconsistency, match=r"not \[beta\]-admissible"):
+            count_points(f5, G, t, check=check)
 
 
 def test_oracle_refuses_branch_points(f5):

@@ -1,5 +1,6 @@
 """Tests for degree vectors, genus, and moduli space enumeration."""
 
+import hashlib
 import itertools
 import random
 from bisect import bisect
@@ -33,7 +34,7 @@ from abelcover.moduli import (
     sample_space,
     space_size_bound,
 )
-from abelcover.polyring import Polynomial
+from abelcover.polyring import Polynomial, enumerate_coprime_tuples, enumerate_monic
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +329,53 @@ def test_samples_lie_in_the_space(f5):
     population = set(enumerate_space(f5, G, dv))
     for cover in sample_space(f5, G, dv, 100, seed=3):
         assert cover in population
+
+
+# sha256 of repr(the first 100 covers) of sample_space, recorded before the
+# gcd moved onto coefficient lists, on the three spaces of the benchmark's
+# sample workload: a change to acceptance or to the draws shows here.
+PINNED_DRAWS = [
+    (5, 1, (2,), {"1": 8}, 0,
+     "af1219da450ab334ee17c2dff950ee06ffdc6644eda952ab5b11d332669900c4"),
+    (5, 1, (2,), {"1": 8}, 1,
+     "8bdd67111ddbae2865a83e0d954bdd62bac39c1759ece5f95ac8f632f1b7a4f0"),
+    (5, 1, (2, 2), {"1,0": 4, "0,1": 4, "1,1": 4}, 0,
+     "72da3d2e07f0ae8aeacdcbcac93f775fbb7ece20f4091321b502c493b49078a2"),
+    (5, 1, (2, 2), {"1,0": 4, "0,1": 4, "1,1": 4}, 1,
+     "f319986716be1e71f6ae224d88951f2e51848192a5d3500901348a8c92e59a7c"),
+    (3, 2, (4,), {"1": 8}, 0,
+     "c18e485c6260255a23ac1916c46a5b38babf4079f948d77b904afe7140bdbbb5"),
+    (3, 2, (4,), {"1": 8}, 1,
+     "c9be0e3b3102fd8acdf3cf9fa11fb7d3653ad0daf0e84b1feff2965484d52d8d"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, k, r, raw, seed, expected",
+    PINNED_DRAWS,
+    ids=["q%d-r%s-seed%d" % (p**k, ",".join(map(str, r)), seed) for p, k, r, _, seed, _ in PINNED_DRAWS],
+)
+def test_sampled_covers_are_pinned(p, k, r, raw, seed, expected):
+    ctx, G = make_field(p, k), GroupSpec(r)
+    covers = list(sample_space(ctx, G, degrees_from_json(G, raw), 100, seed))
+    assert hashlib.sha256(repr(covers).encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("degrees", [(3, 3), (1, 2, 3), (2, 2, 2), (0, 1, 3)])
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1)])
+def test_accept_is_exactly_the_enumerated_tuples(p, k, degrees):
+    """Over every tuple of monic polynomials, _accept (gcds) holds exactly on
+    the tuples that enumerate_coprime_tuples (sieve and factor masks, no gcd)
+    yields."""
+    ctx = make_field(p, k)
+    keys = range(len(degrees))
+    coprime = {
+        tuple(polys[i] for i in keys)
+        for polys in enumerate_coprime_tuples(ctx, dict(zip(keys, degrees)))
+    }
+    accepted = {
+        fs
+        for fs in itertools.product(*(list(enumerate_monic(ctx, d)) for d in degrees))
+        if _accept(dict(zip(keys, fs)))
+    }
+    assert accepted == coprime

@@ -103,6 +103,33 @@ def test_gcd_and_squarefree(f5):
     assert not is_squarefree(f * f * g)
 
 
+GCD_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
+
+def literal_gcd(f, g):
+    """Euclid through Polynomial.__mod__, the gcd as first written."""
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.monic()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(GCD_FIELDS)), st.data())
+def test_gcd_matches_literal_euclid(q, data):
+    """poly_gcd on coefficient lists equals Euclid on Polynomials, with a
+    common factor h planted so that the gcd is often nontrivial."""
+    ctx = make_field(*GCD_FIELDS[q])
+    h = rand_poly(ctx, data, max_deg=3)
+    f = rand_poly(ctx, data, max_deg=4) * h
+    g = rand_poly(ctx, data, max_deg=4) * h
+    assert poly_gcd(f, g) == literal_gcd(f, g)
+    assert poly_gcd(g, f) == literal_gcd(g, f)
+    if not f.is_zero:
+        d = f.derivative()
+        expected = f.degree < 1 or (not d.is_zero and literal_gcd(f, d).degree == 0)
+        assert is_squarefree(f) == expected
+
+
 def test_squarefree_in_characteristic_p():
     # x^2 + 1 = (x+1)^2 over F_2: the derivative vanishes identically.
     f2 = make_field(2)
@@ -163,6 +190,15 @@ def test_count_single_coordinate_is_count_squarefree(p, k):
     ctx = make_field(p, k)
     for d in range(31):
         assert count_coprime_tuples(ctx.q, [d]) == count_squarefree(ctx, d)
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_count_recursion_matches_the_squarefree_closed_form(p, k):
+    """The Euler-product recursion, which count_coprime_tuples skips for one
+    positive degree, against |F_d| = q^d - q^(d-1) (q for d = 1)."""
+    q = p**k
+    for d in range(1, 31):
+        assert polyring._count_from(q, 1, (d,)) == (q if d == 1 else q**d - q ** (d - 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 13])
