@@ -353,7 +353,10 @@ PINNED_DRAWS = [
 @pytest.mark.parametrize(
     "p, k, r, raw, seed, expected",
     PINNED_DRAWS,
-    ids=["q%d-r%s-seed%d" % (p**k, ",".join(map(str, r)), seed) for p, k, r, _, seed, _ in PINNED_DRAWS],
+    ids=[
+        "q%d-r%s-seed%d" % (p**k, ",".join(map(str, r)), seed)
+        for p, k, r, _, seed, _ in PINNED_DRAWS
+    ],
 )
 def test_sampled_covers_are_pinned(p, k, r, raw, seed, expected):
     ctx, G = make_field(p, k), GroupSpec(r)
