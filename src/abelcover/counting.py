@@ -14,20 +14,19 @@ cyclotomic-integer cross-check confirms the dichotomy against the literal
 root-of-unity sum, and a brute-force y-search oracle confirms it at
 unramified points.
 
-There is one evaluation path, through point keys.  The key of f at x is 0
-where f(x) = 0, else 1 + dlog f(x) mod exp(G); exp(G) is a multiple of every
-ell, so the keys fix every exponent.  The key -> state rule
-(_point_state) maps the key vector of the f_alpha at x to the point
-state (beta_x, {pair: exponent or None}): beta_x the vanishing alpha, the
-exponent sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor
-vanishes, e_alpha = pair_weight(pair, alpha).  _component_point_data gives
-the q+1 states of a tuple, memoised per key vector; count_points computes
-its keys by Horner evaluation and dlog, the bulk walk reads them from
-per-degree key tables by base-q code.  There is one count rule:
-_count_above adds the c-part exponent pair_weight(pair, dlog c) to a state
-and applies the dichotomy.  count_points (of which eval_at reads one point)
-calls it per point; both bulk histograms read it through _space_rows,
-memoised per point state.
+Inside this module a pair is its position in enumerate_index_pairs(G);
+IndexPair keys appear only in a PointEvaluation's pattern.  The key of f at
+x is 0 where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every
+ell.  The key -> state rule (_point_state) maps the key vector of the
+f_alpha at x to the point state (beta_x, {position: exponent or None}): the
+vanishing alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a
+factor vanishes, e_alpha = pair_weight(pair, alpha).  count_points computes
+the keys by Horner evaluation and dlog, the bulk walk reads them from
+per-degree key tables by base-q code; states are memoised per key vector,
+the state at infinity per degree map.  The one count rule, _count_above,
+adds the c-part pair_weight(pair, dlog c), memoised per (field, G, c), to a
+state and applies the dichotomy.  count_points (and eval_at) call it per
+point; both bulk histograms through _space_rows, memoised per point state.
 """
 
 from __future__ import annotations
@@ -171,12 +170,19 @@ def _cyclotomic_consistent(values, count: int, r_n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _support(G: GroupSpec, beta) -> tuple:
-    """A_beta as (pair, ell) entries, and its complement: the pairs whose
-    value is 0 at a root of f_beta."""
-    surviving = a_beta(G, beta)
-    vanishing = frozenset(enumerate_index_pairs(G)) - surviving
-    return tuple((pair, pair.ell) for pair in surviving), vanishing
+def _supports(G: GroupSpec) -> dict:
+    """{beta: (A_beta as (position, ell) entries, one flag per position)}
+    for every beta; a flag is True where the pair is not in A_beta, i.e.
+    where its value is 0 at a root of f_beta."""
+    pairs = enumerate_index_pairs(G)
+    out = {}
+    for beta in G.all_vectors():
+        surviving = a_beta(G, beta)
+        out[beta] = (
+            tuple((i, pair.ell) for i, pair in enumerate(pairs) if pair in surviving),
+            tuple(pair not in surviving for pair in pairs),
+        )
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -185,13 +191,12 @@ def _char_values(ell: int) -> tuple:
     return (CharValue.zero(ell), *(CharValue.root(ell, e) for e in range(ell)))
 
 
-def _count_above(G: GroupSpec, beta, exps: dict, b: dict) -> int:
-    """The A_beta dichotomy at one point: |A_beta| when every surviving pair
-    has value 1 (exps[pair] + b[pair] = 0 mod ell, b the c-part), else 0."""
-    surviving, _ = _support(G, beta)
-    for pair, ell in surviving:
-        a = exps[pair]
-        if a is None or (a + b[pair]) % ell:
+def _count_above(surviving: tuple, exps: dict, b: tuple) -> int:
+    """The A_beta dichotomy at one point: |A_beta| when every (i, ell) of
+    surviving = A_beta has exps[i] + b[i] = 0 mod ell (b the c-part), else 0."""
+    for i, ell in surviving:
+        a = exps[i]
+        if a is None or (a + b[i]) % ell:
             return 0
     return len(surviving)
 
@@ -211,35 +216,29 @@ def count_points(
     Raises InternalInconsistency where the zero support of a pattern is not
     the complement of A_beta or, with check=True, where the exact cyclotomic
     sum of the pattern values disagrees with the A_beta dichotomy."""
-    c_part = _unit_exponents(ctx, G, [t.c])[t.c]
+    c_part = _c_part(ctx, G, t.c)
     polys = t.polys()
-    rows = [
-        (pair, ell, _char_values(ell), c_part[pair])
-        for pair, ell, _ in _exponent_table(G, tuple(polys))
-    ]
+    pairs = enumerate_index_pairs(G)
+    rows = [(ell, _char_values(ell)) for ell, _ in _exponent_table(G, tuple(polys))]
+    supports = _supports(G)
     data = _component_point_data(ctx, G, polys)
     points = []
     for x, (beta, exps) in zip([*range(ctx.q), INFINITY], data):
-        pattern, zero_support = {}, set()
-        for pair, ell, values, c in rows:
-            a = exps[pair]
-            if a is None:
-                pattern[pair] = values[0]
-                zero_support.add(pair)
-            else:
-                pattern[pair] = values[1 + (a + c) % ell]
-        if zero_support != _support(G, beta)[1]:
+        surviving, vanishing = supports[beta]
+        if tuple(a is None for a in exps.values()) != vanishing:
             raise InternalInconsistency(
                 f"vanishing pattern at x={x} is not [beta]-admissible"
             )
-        count = _count_above(G, beta, exps, c_part)
-        if check and not _cyclotomic_consistent(
-            pattern.values(), count, G.exponent
-        ):
+        values = [
+            chi[0] if a is None else chi[1 + (a + c) % ell]
+            for a, c, (ell, chi) in zip(exps.values(), c_part, rows)
+        ]
+        count = _count_above(surviving, exps, c_part)
+        if check and not _cyclotomic_consistent(values, count, G.exponent):
             raise InternalInconsistency(
                 f"cyclotomic sum disagrees with dichotomy count at x={x}"
             )
-        points.append(PointEvaluation(x, beta, pattern, count))
+        points.append(PointEvaluation(x, beta, dict(zip(pairs, values)), count))
     total = sum(pt.count for pt in points)
     return PointCountReport(points, total, ctx.q + 1 - total)
 
@@ -247,14 +246,14 @@ def count_points(
 def oracle_count(ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x: int) -> int:
     """Brute-force count above a finite unramified x: the number of solutions
     (y_1,...,y_n) of y_j^{r_j} = F_j(x), found by exhaustive search."""
-    polys = t.polys()
-    if any(f.evaluate(x) == 0 for f in polys.values()):
+    values = {alpha: f.evaluate(x) for alpha, f in t.polys().items()}
+    if 0 in values.values():
         raise RamifiedPoint(f"some f_alpha vanishes at x = {x}")
     out = 1
     for j, rj in enumerate(G.r):
         target = t.c[j]
-        for alpha, f in polys.items():
-            target = ctx.mul(target, ctx.pow(f.evaluate(x), alpha[j]))
+        for alpha, v in values.items():
+            target = ctx.mul(target, ctx.pow(v, alpha[j]))
         out *= sum(1 for y in range(ctx.q) if ctx.pow(y, rj) == target)
     return out
 
@@ -270,12 +269,12 @@ def _point_index(ctx: FieldCtx, x) -> int:
 
 @lru_cache(maxsize=None)
 def _exponent_table(G: GroupSpec, alphas: tuple) -> tuple:
-    """(pair, ell, ((i, e_alpha) for every e_alpha != 0)) per pair, i the
-    position of alpha in alphas (which must hold every nonzero alpha)."""
+    """(ell, ((i, e_alpha) for every e_alpha != 0)) per pair position, i
+    the position of alpha in alphas (which must hold every nonzero alpha)."""
     table = []
     for pair in enumerate_index_pairs(G):
         exps = ((alphas.index(a), pair_weight(pair, a)) for a in G.nonzero_vectors())
-        table.append((pair, pair.ell, tuple((i, e) for i, e in exps if e)))
+        table.append((pair.ell, tuple((i, e) for i, e in exps if e)))
     return tuple(table)
 
 
@@ -310,15 +309,15 @@ def _key_table(ctx: FieldCtx, E: int, d: int):
 def _point_state(G: GroupSpec, table: tuple, alphas: tuple, keys: tuple, x) -> tuple:
     """The key -> state rule.  keys[i] is 0 where f_(alphas[i]) vanishes at
     x, else 1 + its dlog mod exp(G); table is _exponent_table(G, alphas).
-    The state is (beta_x, {pair: exponent or None}): beta_x the vanishing
-    alpha (0 if none), the exponent sum_alpha e_alpha dlog f_alpha(x) mod
-    ell, None where an f_alpha with e_alpha != 0 vanishes (ell divides
-    exp(G), so the keys suffice)."""
+    The state is (beta_x, {position: exponent or None}) in position order:
+    beta_x the vanishing alpha (0 if none), the exponent sum_alpha e_alpha
+    dlog f_alpha(x) mod ell, None where an f_alpha with e_alpha != 0
+    vanishes (ell divides exp(G), so the keys suffice)."""
     vanishing = [alpha for alpha, key in zip(alphas, keys) if not key]
     if len(vanishing) > 1:
         raise MultipleVanishing(f"{len(vanishing)} polynomials vanish at {x}")
     exps = {}
-    for pair, ell, pair_exps in table:
+    for pos, (ell, pair_exps) in enumerate(table):
         acc = 0
         for i, e in pair_exps:
             key = keys[i]
@@ -326,55 +325,53 @@ def _point_state(G: GroupSpec, table: tuple, alphas: tuple, keys: tuple, x) -> t
                 acc = None
                 break
             acc += e * (key - 1)
-        exps[pair] = None if acc is None else acc % ell
+        exps[pos] = None if acc is None else acc % ell
     return (vanishing[0] if vanishing else (0,) * G.n), exps
 
 
 class _Walk:
     """What one bulk walk shares across its tuples: the key tables, one per
-    degree in use, built on first use and read by base-q code; the memo of
-    point states by key vector, so the pair loop runs once per distinct key
-    vector; and the infinity state per degree map.  Nothing outlives the
-    walk."""
+    degree in use, built on first use and read by base-q code, and the memo
+    of point states by key vector, so the pair loop runs once per distinct
+    key vector.  Nothing outlives the walk."""
 
     def __init__(self, ctx: FieldCtx, G: GroupSpec, alphas: tuple):
         self.ctx, self.E = ctx, G.exponent
         self.table = _exponent_table(G, alphas)
         self.tables: dict = {}
         self.memo: dict = {}
-        self.infinity: dict = {}
 
-    def keys(self, polys: dict) -> list:
-        q, out = self.ctx.q, []
+    def keys(self, polys: dict) -> tuple:
+        q, out, degrees = self.ctx.q, [], []
         for f in polys.values():
             coeffs = f.coeffs
             d = len(coeffs) - 1
+            degrees.append(d)
             if d not in self.tables:
                 weights = [q ** (i + 1) for i in range(d)]
                 self.tables[d] = _key_table(self.ctx, self.E, d), weights
             table, weights = self.tables[d]
             start = sum(map(mul, coeffs, weights))  # q * code; a_d = 1 is left out
             out.append(table[start : start + q])
-        return out
+        return out, degrees
 
 
 def _component_point_data(
     ctx: FieldCtx, G: GroupSpec, polys: dict, walk: Optional[_Walk] = None
 ) -> list:
-    """(beta_x, {pair: exponent or None}) at the q+1 points 0, ..., q-1,
-    INFINITY.  The exponent is the dlog of prod_alpha f_alpha(x)^(e_alpha)
-    mod ell, None where that is 0, without the c-part; at infinity it is 0,
-    or None when pair_weight(pair, d_vec) != 0.  The keys come by Horner
+    """The point states (_point_state) at 0, ..., q-1, then the state at
+    INFINITY (_infinity_state), without the c-part.  The keys come by Horner
     evaluation and dlog or, within a walk, from its key tables, and the
-    walk's memos are used.  polys is keyed by every nonzero alpha, in the
+    walk's memo is used.  polys is keyed by every nonzero alpha, in the
     walk's order."""
     alphas = tuple(polys)
     if walk is None:
-        E, table, memo, infinity = G.exponent, _exponent_table(G, alphas), {}, {}
+        E, table, memo = G.exponent, _exponent_table(G, alphas), {}
         add, mul, dlog = ctx.add, ctx.mul, ctx.dlog
-        keys = []
+        keys, degrees = [], []
         for f in polys.values():
             lead, *rest = f.coeffs[::-1] or (0,)  # Horner, from the top
+            degrees.append(len(rest))
             row = []
             for x in range(ctx.q):
                 v = lead
@@ -383,34 +380,35 @@ def _component_point_data(
                 row.append(1 + dlog(v) % E if v else 0)
             keys.append(row)
     else:
-        table, memo, infinity = walk.table, walk.memo, walk.infinity
-        keys = walk.keys(polys)
+        table, memo = walk.table, walk.memo
+        keys, degrees = walk.keys(polys)
     data = [
         memo.get(k) or memo.setdefault(k, _point_state(G, table, alphas, k, x))
         for x, k in enumerate(zip(*keys))
     ]
-    degrees = tuple(max(f.degree, 0) for f in polys.values())
-    if degrees not in infinity:
-        d = d_vec(G, dict(zip(alphas, degrees)))
-        beta = tuple(-dj % rj for dj, rj in zip(d, G.r))
-        exps = {pair: None if pair_weight(pair, d) else 0 for pair, _, _ in table}
-        infinity[degrees] = beta, exps
-    data.append(infinity[degrees])
+    data.append(_infinity_state(G, alphas, tuple(degrees)))
     return data
 
 
-def _unit_exponents(ctx: FieldCtx, G: GroupSpec, units) -> dict:
-    """{c: {pair: dlog of c_(s)^(omega) mod ell}} for each unit vector c.
-    Every counting path calls this first, so it rejects a group whose
-    exponent does not divide q-1 (no characters of that order exist)."""
+@lru_cache(maxsize=None)
+def _infinity_state(G: GroupSpec, alphas: tuple, degrees: tuple) -> tuple:
+    """The point state at infinity where f_(alphas[i]) has degree degrees[i]:
+    beta = -d_vec, the exponent 0, or None where pair_weight(pair, d_vec) != 0."""
+    d = d_vec(G, dict(zip(alphas, degrees)))
+    beta = tuple(-dj % rj for dj, rj in zip(d, G.r))
+    pairs = enumerate_index_pairs(G)
+    return beta, {i: None if pair_weight(pair, d) else 0 for i, pair in enumerate(pairs)}
+
+
+@lru_cache(maxsize=1 << 12)
+def _c_part(ctx: FieldCtx, G: GroupSpec, c: tuple) -> tuple:
+    """The dlog of c_(s)^(omega) mod ell per pair position.  Every counting
+    path calls this first, so it rejects a group whose exponent does not
+    divide q-1 (no characters of that order exist)."""
     if (ctx.q - 1) % G.exponent:
         raise BadOrder(f"exp(G) = {G.exponent} does not divide q-1 = {ctx.q - 1}")
-    pairs = enumerate_index_pairs(G)
-    out = {}
-    for c in units:
-        logs = [ctx.dlog(cj) for cj in c]
-        out[c] = {pair: pair_weight(pair, logs) for pair in pairs}
-    return out
+    logs = [ctx.dlog(cj) for cj in c]
+    return tuple(pair_weight(pair, logs) for pair in enumerate_index_pairs(G))
 
 
 # -- bulk harnesses -----------------------------------------------------
@@ -422,15 +420,17 @@ def _space_rows(ctx, G, dv, budget):
     are read from per-degree key tables and the count rows are memoised on
     the point state, so the c-block runs once per state."""
     tuples = space_tuples(ctx, G, dv, budget)
-    units = _unit_exponents(ctx, G, itertools.product(range(1, ctx.q), repeat=G.n))
+    units = itertools.product(range(1, ctx.q), repeat=G.n)
+    units = [_c_part(ctx, G, c) for c in units]
     walk = _Walk(ctx, G, tuple(sorted(dv.as_dict())))
 
     def counts(point):
         beta, exps = point
-        return beta, tuple(_count_above(G, beta, exps, b) for b in units.values())
+        surviving = _supports(G)[beta][0]
+        return beta, tuple(_count_above(surviving, exps, b) for b in units)
 
-    # Point states are shared objects that the walk's memos keep alive to
-    # its end, so the id of a state keys its row.
+    # Point states are shared objects that the walk's memo and the infinity
+    # memo keep alive to its end, so the id of a state keys its row.
     rows = {}
     return (
         [

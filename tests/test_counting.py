@@ -1,5 +1,7 @@
 """Tests for the character-sum point count and its brute-force oracle."""
 
+import hashlib
+import json
 from collections import Counter
 from functools import lru_cache
 
@@ -33,10 +35,12 @@ from abelcover.groupcomb import (
     IndexPair,
     a_beta,
     class_of,
+    enumerate_index_pairs,
     ram_exponent,
 )
 from abelcover.moduli import (
     d_vec,
+    degrees_from_json,
     enumerate_space,
     make_cover_tuple,
     normalize_degrees,
@@ -115,12 +119,13 @@ def test_zero_support_check_fires(f5, monkeypatch, r):
     where the pattern must survive) is refused by count_points."""
     G = GroupSpec(r)
     trivial = IndexPair((1,) * G.n, (1,) * G.n)  # in every A_beta
+    assert enumerate_index_pairs(G).index(trivial) == 0  # its position
     real = counting._point_state
 
     def drops_a_surviving_pair(G, table, alphas, keys, x):
         beta, exps = real(G, table, alphas, keys, x)
         assert trivial in a_beta(G, beta)
-        return beta, {**exps, trivial: None}
+        return beta, {**exps, 0: None}
 
     monkeypatch.setattr(counting, "_point_state", drops_a_surviving_pair)
     polys = dict.fromkeys(G.nonzero_vectors(), Polynomial.one(f5))
@@ -237,6 +242,42 @@ def test_report_serializes(f5):
     assert len(payload["points"]) == 6
 
 
+# sha256 of json.dumps of the to_json_dict reports of the first 100 covers
+# of sample_space, recorded before index pairs became positions inside
+# counting, on the three spaces of the benchmark's sample workload; check
+# on and off give the same reports.
+PINNED_REPORTS = [
+    (5, 1, (2,), {"1": 8}, 0,
+     "b9b8bad485d98232e2a84daad878d8da095f24bc73fa0d3ac7870f7ebdb83ba3"),
+    (5, 1, (2,), {"1": 8}, 1,
+     "389f684eb62cfe409c6e14d67af969423317718486df0c662697607f22f73a2d"),
+    (5, 1, (2, 2), {"1,0": 4, "0,1": 4, "1,1": 4}, 0,
+     "aece7f936e5cc7ade113d4ccf797f234ce521d0d9b3d0ae5e0f58604884ec690"),
+    (5, 1, (2, 2), {"1,0": 4, "0,1": 4, "1,1": 4}, 1,
+     "7b8bf1985d18c382b3f1fbad21ff77e9ebaba4b7164deaa922f492bab3c1fd3e"),
+    (3, 2, (4,), {"1": 8}, 0,
+     "370dc6dc71864af3eece78d5a3bc3ed981e1bfd14269241abd651a31515d9546"),
+    (3, 2, (4,), {"1": 8}, 1,
+     "357d7ac6e0a9aa80176c4872854b962bcbc297f12cc848351bb21f9888878aca"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, k, r, raw, seed, expected",
+    PINNED_REPORTS,
+    ids=[
+        "q%d-r%s-seed%d" % (p**k, ",".join(map(str, r)), seed)
+        for p, k, r, _, seed, _ in PINNED_REPORTS
+    ],
+)
+def test_sampled_reports_are_pinned(p, k, r, raw, seed, expected):
+    ctx, G = make_field(p, k), GroupSpec(r)
+    covers = list(sample_space(ctx, G, degrees_from_json(G, raw), 100, seed))
+    for check in (True, False):
+        reports = [count_points(ctx, G, t, check=check).to_json_dict() for t in covers]
+        assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == expected
+
+
 def test_eval_rejects_points_outside_the_line(f5):
     G = GroupSpec((2,))
     t = hyper(f5, 1, [1, 0, 1])
@@ -291,26 +332,49 @@ LITERAL_CASES = [
     ids=[f"q{p**k}-G{r}" for p, k, r, _ in LITERAL_CASES],
 )
 def test_patterns_match_literal_derived_polynomials(p, k, r, degrees):
-    """Every pattern value of count_points against chi_ell of the multiplied-
-    out derived polynomial: at finite x its value there, at infinity 0 when
-    ell does not divide its degree and chi_ell of its constant otherwise."""
     ctx = make_field(p, k)
     G = GroupSpec(r)
     dv = normalize_degrees(G, degrees)
     for t in sample_space(ctx, G, dv, 12, seed=p * k):
-        derived = derived_polys(ctx, G, t)
-        for check in (True, False):
-            points = count_points(ctx, G, t, check=check).points
-            for dp in derived:
-                ell = dp.pair.ell
-                for x in range(ctx.q):
-                    value = ctx.mul(dp.constant, dp.poly.evaluate(x))
-                    assert points[x].pattern[dp.pair] == character(ctx, ell, value)
-                if dp.poly.degree % ell:
-                    expect = CharValue.zero(ell)
-                else:
-                    expect = character(ctx, ell, dp.constant)
-                assert points[ctx.q].pattern[dp.pair] == expect
+        assert_literal_patterns(ctx, G, t)
+
+
+def assert_literal_patterns(ctx, G, t):
+    """Every pattern value of count_points (check on and off) against chi_ell
+    of the multiplied-out derived polynomial: at finite x its value there,
+    at infinity 0 when ell does not divide its degree and chi_ell of its
+    constant otherwise."""
+    derived = derived_polys(ctx, G, t)
+    for check in (True, False):
+        points = count_points(ctx, G, t, check=check).points
+        for dp in derived:
+            ell = dp.pair.ell
+            for x in range(ctx.q):
+                value = ctx.mul(dp.constant, dp.poly.evaluate(x))
+                assert points[x].pattern[dp.pair] == character(ctx, ell, value)
+            if dp.poly.degree % ell:
+                expect = CharValue.zero(ell)
+            else:
+                expect = character(ctx, ell, dp.constant)
+            assert points[ctx.q].pattern[dp.pair] == expect
+
+
+def test_memos_keep_fields_and_components_apart():
+    """count_points memoises the c-part per (field, group, c) and the state
+    at infinity per (group, alphas, degrees).  Interleave, in one process,
+    the same unit vectors c over F_5 and F_9 and covers of the plain and
+    the dropped components of one space: every pattern stays literal."""
+    G = GroupSpec((4,))
+    fields = [make_field(5), make_field(3, 2)]
+    dv = normalize_degrees(G, {(1,): 1, (2,): 2, (3,): 1})
+    samples = [list(sample_space(ctx, G, dv, 12, seed=2)) for ctx in fields]
+    for covers in samples:
+        tags = {t.tag for t in covers}
+        assert None in tags and len(tags) > 1  # plain and dropped components
+    for c in range(1, 5):  # units of both fields
+        for covers in zip(*samples):
+            for ctx, t in zip(fields, covers):
+                assert_literal_patterns(ctx, G, make_cover_tuple((c,), t.polys(), t.tag))
 
 
 @lru_cache(maxsize=None)
