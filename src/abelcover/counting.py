@@ -26,7 +26,8 @@ per-degree key tables by base-q code; states are memoised per key vector,
 the state at infinity per degree map.  The one count rule, _count_above,
 adds the c-part pair_weight(pair, dlog c), memoised per (field, G, c), to a
 state and applies the dichotomy.  count_points (and eval_at) call it per
-point; both bulk histograms through _space_rows, memoised per point state.
+point; both bulk histograms per point state and class of leading units
+(_class_walk), each class weighted (q-1)^n/|G|.
 """
 
 from __future__ import annotations
@@ -414,31 +415,37 @@ def _c_part(ctx: FieldCtx, G: GroupSpec, c: tuple) -> tuple:
 # -- bulk harnesses -----------------------------------------------------
 
 
-def _space_rows(ctx, G, dv, budget):
-    """Per polynomial tuple of the space, (beta_x, row) at the q+1 points,
-    row[i] the count above x for the i-th leading unit vector.  Point keys
-    are read from per-degree key tables and the count rows are memoised on
-    the point state, so the c-block runs once per state."""
+def _class_walk(ctx, G, dv, budget):
+    """The bulk walk per class of leading units: the point states of each
+    polynomial tuple, the packed sum of the rows of a list of states, the
+    fields of a packed int, and the weight (q-1)^n/|G| of a class.  The
+    c-part depends on c only through (dlog c_j mod r_j)_j, as s_j | r_j, so
+    the c-block runs over one unit vector (g^a_j)_j per class, 0 <= a_j < r_j.
+    Bits k*b to k*b+b-1 of a row hold the count above x for class k; b bits
+    hold a tuple's total, at most |G|(q+1)."""
     tuples = space_tuples(ctx, G, dv, budget)
-    units = itertools.product(range(1, ctx.q), repeat=G.n)
-    units = [_c_part(ctx, G, c) for c in units]
+    g, reps = ctx.generator, itertools.product(*map(range, G.r))
+    classes = [_c_part(ctx, G, tuple(ctx.pow(g, a) for a in rep)) for rep in reps]
     walk = _Walk(ctx, G, tuple(sorted(dv.as_dict())))
-
-    def counts(point):
-        beta, exps = point
-        surviving = _supports(G)[beta][0]
-        return beta, tuple(_count_above(surviving, exps, b) for b in units)
-
+    supports, bits = _supports(G), (G.size * (ctx.q + 1)).bit_length()
     # Point states are shared objects that the walk's memo and the infinity
     # memo keep alive to its end, so the id of a state keys its row.
-    rows = {}
-    return (
-        [
-            rows.get(id(point)) or rows.setdefault(id(point), counts(point))
-            for point in _component_point_data(ctx, G, polys, walk)
-        ]
-        for _, polys in tuples
-    )
+    rows: dict = {}
+
+    def packed(points):
+        try:
+            return sum(map(rows.__getitem__, map(id, points)))
+        except KeyError:
+            for pt in points:
+                counts = (_count_above(supports[pt[0]][0], pt[1], b) for b in classes)
+                rows[id(pt)] = sum(n << k * bits for k, n in enumerate(counts))
+            return packed(points)
+
+    def fields(total):
+        return (total >> k * bits & (1 << bits) - 1 for k in range(G.size))
+
+    states = (_component_point_data(ctx, G, polys, walk) for _, polys in tuples)
+    return states, packed, fields, (ctx.q - 1) ** G.n // G.size
 
 
 def space_count_histogram(
@@ -450,11 +457,13 @@ def space_count_histogram(
     """Histogram of #C(P^1(F_q)) over the full space.
 
     Equivalent to running count_points on every enumerated tuple, but the
-    point data are shared across the leading-coefficient block.
+    counts are taken per class of leading units and point state (_class_walk).
     """
+    states, packed, fields, weight = _class_walk(ctx, G, dv, budget)
     hist: Counter = Counter()
-    for points in _space_rows(ctx, G, dv, budget):
-        hist.update(map(sum, zip(*(row for _, row in points))))
+    for totals, m in Counter(map(packed, states)).items():
+        for total in fields(totals):
+            hist[total] += m * weight
     return hist
 
 
@@ -469,8 +478,10 @@ def space_pattern_histogram(
     keyed by (class representative of beta, all-surviving-values-are-one)."""
     idx = _point_index(ctx, x)
     reps = {beta: class_of(G, beta).representative for beta in G.all_vectors()}
+    states, packed, fields, weight = _class_walk(ctx, G, dv, budget)
+    at_x = Counter((p[idx][0], packed(p[idx : idx + 1])) for p in states)
     hist: Counter = Counter()
-    for points in _space_rows(ctx, G, dv, budget):
-        beta, row = points[idx]
-        hist.update((reps[beta], n > 0) for n in row)
+    for (beta, row), m in at_x.items():
+        for n in fields(row):
+            hist[(reps[beta], n > 0)] += m * weight
     return hist

@@ -407,6 +407,11 @@ def small_spaces(draw):
 @example((5, (2,), {(1,): 4}, 0))
 @example((5, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 0))
 @example((5, (2,), {(1,): 2}, 0))
+# The first r_j units fall one per class of leading units over F_5, not
+# here: 2 = 3^2 is a square in F_7, and 1..4 in F_9 miss a class mod 4.
+@example((7, (2,), {(1,): 2}, INFINITY))
+@example((9, (4,), {(1,): 1, (3,): 1}, 0))
+@example((7, (2, 2), {(1, 1): 2}, 0))
 def test_bulk_histograms_match_per_cover_counts(space):
     """Both bulk histograms against per-cover count_points and eval_at."""
     q, r, degrees, x = space
