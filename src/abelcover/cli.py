@@ -178,16 +178,6 @@ def _histogram_for(ctx, group, dv, mode, draws, seed):
     return Counter(count_points(ctx, group, c, check=False).total for c in covers)
 
 
-def _distribution_rows(ctx, group, dv, mode, draws, seed):
-    hist = _histogram_for(ctx, group, dv, mode, draws, seed)
-    law = total_law(group, ctx.q)
-    report = compare(hist, law)
-    lines = ["value,empirical_num,empirical_den,theory_num,theory_den"]
-    for row in report.csv_rows(law, hist):
-        lines.append(",".join(str(x) for x in row))
-    return report, lines
-
-
 def cmd_distribution(args, config):
     ctx = _build_context(args, config)
     group = _build_group(args, config)
@@ -201,10 +191,15 @@ def cmd_distribution(args, config):
         if isinstance(ladder, str):
             ladder = json.loads(ladder)
         lines.append("degrees,tv_num,tv_den,tv_float")
+        law = None
         for raw in ladder:
             dv = degrees_from_json(group, raw)
-            report, _rows = _distribution_rows(ctx, group, dv, mode, draws, seed)
-            tv = report.tv
+            hist = _histogram_for(ctx, group, dv, mode, draws, seed)
+            # One law for every rung, built after the first histogram so that
+            # its input errors are reported first, as without a ladder.
+            if law is None:
+                law = total_law(group, ctx.q)
+            tv = compare(hist, law).tv
             label = dv.to_json().replace('"', '""')
             lines.append(
                 '"%s",%d,%d,%.12g'
@@ -212,8 +207,12 @@ def cmd_distribution(args, config):
             )
     else:
         dv = _build_degrees(args, config, group)
-        report, rows = _distribution_rows(ctx, group, dv, mode, draws, seed)
-        lines.extend(rows)
+        hist = _histogram_for(ctx, group, dv, mode, draws, seed)
+        law = total_law(group, ctx.q)
+        report = compare(hist, law)
+        lines.append("value,empirical_num,empirical_den,theory_num,theory_den")
+        for row in report.csv_rows(law, hist):
+            lines.append(",".join(str(x) for x in row))
         tv = report.tv
         lines.append("tv,%d,%d,," % (tv.numerator, tv.denominator))
     text = "\n".join(lines) + "\n"

@@ -5,11 +5,14 @@ Each of the q+1 points of P^1(F_q) contributes an i.i.d. variable taking the
 value |G|/s with probability s*phi_G(s) / D for s | exp(G), s != 1, the value
 |G| with probability q / D, and 0 with the remaining mass, where
 D = |G|(q+|G|-1).  The total-count law is the exact (q+1)-fold convolution,
-held as integer weights over D^(q+1): convolution multiplies integer
-polynomials and divides by the common denominator once at the end.  A
-pattern probability is one integer numerator over D^(q+1), and the
-Euler-product interval is kept in integer fixed point.  Fractions are built
-only where values leave the API; floats appear only in reporting.
+held as integer weights over D^(q+1).  Convolution is Kronecker
+substitution: the weights are packed into one integer, one byte-aligned slot
+per value divided by the gcd of the support, and the k-fold convolution is
+that integer's k-th power, unpacked once and divided by the common
+denominator at the end.  A pattern probability is one integer numerator
+over D^(q+1), and the Euler-product interval is kept in integer fixed point.
+Fractions are built only where values leave the API; floats appear only in
+reporting.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
 from .errors import BadField, BadMultiplicity, EmptyHistogram, InternalInconsistency
@@ -32,9 +35,14 @@ class Pmf:
     probs: tuple[tuple[int, Fraction], ...]  # sorted (value, probability)
 
     def __post_init__(self):
-        total = sum(p for _, p in self.probs)
-        if total != 1 or any(p < 0 for _, p in self.probs):
-            raise InternalInconsistency(f"pmf does not normalize: sum = {total}")
+        # Unit mass in integers over the lcm of the denominators: a Fraction
+        # sum would run two big gcds per term.
+        den = lcm(*(p.denominator for _, p in self.probs))
+        mass = sum(p.numerator * (den // p.denominator) for _, p in self.probs)
+        if mass != den or any(p.numerator < 0 for _, p in self.probs):
+            raise InternalInconsistency(
+                f"pmf does not normalize: sum = {Fraction(mass, den)}"
+            )
 
     @classmethod
     def from_dict(cls, d: Mapping[int, Fraction]) -> "Pmf":
@@ -56,19 +64,17 @@ class Pmf:
     def convolve(self, other: "Pmf") -> "Pmf":
         a, a_den = _weights(self)
         b, b_den = _weights(other)
-        return _from_weights(_poly_mul(a, b), a_den * b_den)
+        den = a_den * b_den
+        g = gcd(*a, *b) or 1
+        width = _slot_width(den)
+        return _unpack(_pack(a, g, width) * _pack(b, g, width), g, width, den)
 
     def convolve_power(self, k: int) -> "Pmf":
         base, den = _weights(self)
-        out = {0: 1}
-        e = k
-        while e:
-            if e & 1:
-                out = _poly_mul(out, base)
-            e >>= 1
-            if e:
-                base = _poly_mul(base, base)
-        return _from_weights(out, den**k)
+        den **= k
+        g = gcd(*base) or 1
+        width = _slot_width(den)
+        return _unpack(_pack(base, g, width) ** k, g, width, den)
 
     def csv_rows(self) -> list[tuple]:
         return [
@@ -91,13 +97,32 @@ def _from_weights(weights: Mapping[int, int], den: int) -> Pmf:
     return Pmf.from_dict({v: Fraction(w, den) for v, w in weights.items()})
 
 
-def _poly_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Product of two sparse integer polynomials {exponent: coefficient}."""
-    out: dict[int, int] = {}
-    for v, x in a.items():
-        for w, y in b.items():
-            out[v + w] = out.get(v + w, 0) + x * y
-    return out
+def _slot_width(den: int) -> int:
+    """Bytes per packed slot for weights over ``den``.  The weights of a
+    product are non-negative and sum to ``den``, so none exceeds it."""
+    return den.bit_length() // 8 + 1
+
+
+def _pack(weights: Mapping[int, int], g: int, width: int) -> int:
+    """One integer holding weights[i*g] in the little-endian byte slot i
+    of ``width`` bytes (Kronecker substitution)."""
+    slots = [0] * (max(weights) // g + 1)
+    for v, w in weights.items():
+        slots[v // g] = w
+    return int.from_bytes(
+        b"".join(w.to_bytes(width, "little") for w in slots), "little"
+    )
+
+
+def _unpack(packed: int, g: int, width: int, den: int) -> Pmf:
+    """The pmf whose weight over ``den`` at i*g is slot i of ``packed``."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    weights = {}
+    for i in range(0, len(raw), width):
+        w = int.from_bytes(raw[i:i + width], "little")
+        if w:
+            weights[i // width * g] = w
+    return _from_weights(weights, den)
 
 
 def _check_field(G: GroupSpec, q: int) -> None:
@@ -243,10 +268,11 @@ class ComparisonReport:
 
     def csv_rows(self, theoretical: Pmf, empirical: Mapping[int, int]):
         values = sorted(set(theoretical.support) | set(empirical))
+        probs = theoretical.as_dict()
         rows = []
         for v in values:
             emp = Fraction(empirical.get(v, 0), self.draws)
-            th = theoretical.prob(v)
+            th = probs.get(v, Fraction(0))
             rows.append(
                 (v, emp.numerator, emp.denominator, th.numerator, th.denominator)
             )
@@ -260,11 +286,12 @@ def compare(empirical: Mapping[int, int], theoretical: Pmf) -> ComparisonReport:
     if draws == 0:
         raise EmptyHistogram("empirical histogram has no mass")
     values = sorted(set(theoretical.support) | set(empirical))
+    probs = theoretical.as_dict()
     residuals = {}
     tv = Fraction(0)
     for v in values:
         emp = Fraction(empirical.get(v, 0), draws)
-        th = theoretical.prob(v)
+        th = probs.get(v, Fraction(0))
         residuals[v] = emp - th
         tv += abs(emp - th)
     tv /= 2

@@ -1,5 +1,7 @@
 """Tests for the limiting laws and exact rational comparisons."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -165,6 +167,67 @@ def test_total_law_matches_iterated_convolution(r):
     assert checked
 
 
+def _point_weights(r, q):
+    """Integer weights of one point's value over D = |G|(q+|G|-1), built
+    from the element orders of G = Z/r_1 x ... by brute force: an element of
+    order s != 1 puts weight s on |G|/s, and |G| has weight q."""
+    size = math.prod(r)
+    weights = {size: q}
+    for x in itertools.product(*(range(n) for n in r)):
+        s = math.lcm(*(n // math.gcd(a, n) for a, n in zip(x, r)))
+        if s != 1:
+            weights[size // s] = weights.get(size // s, 0) + s
+    den = size * (q + size - 1)
+    weights[0] = den - sum(weights.values())
+    return weights, den
+
+
+@pytest.mark.parametrize("r, q", [((12,), 49), ((4, 4), 49), ((16,), 17)])
+def test_total_law_matches_integer_schoolbook(r, q):
+    """The long supports against q+1 schoolbook convolutions of the integer
+    weights, with nothing taken from the distribution module."""
+    single, den = _point_weights(r, q)
+    slow = {0: 1}
+    for _ in range(q + 1):
+        out = {}
+        for v, x in slow.items():
+            for w, y in single.items():
+                out[v + w] = out.get(v + w, 0) + x * y
+        slow = out
+    scale = den ** (q + 1)
+    expected = {v: F(w, scale) for v, w in slow.items() if w}
+    assert total_law(GroupSpec(r), q).as_dict() == expected
+
+
+def test_convolve_point_masses():
+    at_zero = Pmf.from_dict({0: F(1)})  # the support's gcd is 0
+    at_five = Pmf.from_dict({5: F(1)})  # the one weight equals the slot bound
+    for k in range(4):
+        assert at_zero.convolve_power(k) == at_zero
+        assert at_five.convolve_power(k).as_dict() == {5 * k: 1}
+    assert at_zero.convolve(at_zero) == at_zero
+    assert at_five.convolve(at_five).as_dict() == {10: 1}
+    assert at_zero.convolve(at_five) == at_five
+
+
+def test_convolve_support_with_common_divisor():
+    law = Pmf.from_dict({0: F(1, 4), 4: F(1, 2), 8: F(1, 4)})
+    by_hand = law.as_dict()
+    for k in range(2, 5):
+        by_hand = _fraction_convolve(by_hand, law.as_dict())
+        assert law.convolve_power(k).as_dict() == by_hand
+    other = Pmf.from_dict({6: F(1, 3), 12: F(2, 3)})
+    assert law.convolve(other).as_dict() == _fraction_convolve(
+        law.as_dict(), other.as_dict()
+    )
+
+
+def test_convolve_power_zero_and_one():
+    law = Pmf.from_dict({0: F(1, 3), 4: F(1, 6), 7: F(1, 2)})
+    assert law.convolve_power(0) == Pmf.from_dict({0: F(1)})
+    assert law.convolve_power(1) == law
+
+
 @pytest.mark.parametrize("q", [3, 5, 17])
 def test_euler_L_matches_fraction_rounding(q):
     for n in range(15):
@@ -173,8 +236,13 @@ def test_euler_L_matches_fraction_rounding(q):
 
 
 def test_pmf_rejects_bad_mass():
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InternalInconsistency, match="sum = 5/6$"):
         Pmf.from_dict({0: F(1, 2), 1: F(1, 3)})
+
+
+def test_pmf_rejects_negative_probability():
+    with pytest.raises(InternalInconsistency, match="sum = 1$"):
+        Pmf.from_dict({0: F(3, 2), 1: F(-1, 2)})
 
 
 def test_pattern_probability_all_unramified():
