@@ -182,6 +182,8 @@ def cmd_distribution(args, config):
     ctx = _build_context(args, config)
     group = _build_group(args, config)
     mode = _pick(args, config, "mode", "enumerate")
+    if mode not in ("enumerate", "sample"):
+        raise ValueError("mode must be enumerate or sample, not %r" % (mode,))
     draws = int(_pick(args, config, "draws", 2000))
     seed = int(_pick(args, config, "seed", 0))
     ladder = _pick(args, config, "ladder")

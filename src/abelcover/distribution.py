@@ -4,15 +4,16 @@ empirical histograms.
 Each of the q+1 points of P^1(F_q) contributes an i.i.d. variable taking the
 value |G|/s with probability s*phi_G(s) / D for s | exp(G), s != 1, the value
 |G| with probability q / D, and 0 with the remaining mass, where
-D = |G|(q+|G|-1).  The total-count law is the exact (q+1)-fold convolution,
-held as integer weights over D^(q+1).  Convolution is Kronecker
-substitution: the weights are packed into one integer, one byte-aligned slot
-per value divided by the gcd of the support, and the k-fold convolution is
-that integer's k-th power, unpacked once and divided by the common
-denominator at the end.  A pattern probability is one integer numerator
-over D^(q+1), and the Euler-product interval is kept in integer fixed point.
-Fractions are built only where values leave the API; floats appear only in
-reporting.
+D = |G|(q+|G|-1).  The total-count law is the exact (q+1)-fold convolution.
+A ``Pmf`` holds integer weights over one denominator in lowest terms: the
+single-point law over D, reduced, and the total law over its (q+1)-th power.
+Convolution is Kronecker substitution: the weights are packed into one
+integer, one byte-aligned slot per value divided by the gcd of the support,
+and the k-fold convolution is that integer's k-th power, unpacked once.
+``compare`` works on the integer differences count*den - weight*draws.  A
+pattern probability is one integer numerator over D^(q+1), and the
+Euler-product interval is kept in integer fixed point.  Fractions are built
+only by the accessors that hand values out; floats appear only in reporting.
 """
 
 from __future__ import annotations
@@ -25,56 +26,60 @@ from typing import Mapping
 
 from .errors import BadField, BadMultiplicity, EmptyHistogram, InternalInconsistency
 from .groupcomb import GroupSpec, beta_classes, phi_G
-from .numtheory import count_irreducibles, divisors, euler_phi
+from .numtheory import count_irreducibles, divisors, euler_phi, prime_factors
 
 
 @dataclass(frozen=True)
 class Pmf:
-    """Exact probability mass function on non-negative integers."""
+    """Exact probability mass function on non-negative integers: positive
+    integer weights over one denominator, in lowest terms.  The weights then
+    have gcd 1, since it divides their sum, the denominator; by Gauss's
+    lemma so do those of a convolution, which therefore needs no reduction.
+    """
 
-    probs: tuple[tuple[int, Fraction], ...]  # sorted (value, probability)
-
-    def __post_init__(self):
-        # Unit mass in integers over the lcm of the denominators: a Fraction
-        # sum would run two big gcds per term.
-        den = lcm(*(p.denominator for _, p in self.probs))
-        mass = sum(p.numerator * (den // p.denominator) for _, p in self.probs)
-        if mass != den or any(p.numerator < 0 for _, p in self.probs):
-            raise InternalInconsistency(
-                f"pmf does not normalize: sum = {Fraction(mass, den)}"
-            )
+    weights: tuple[tuple[int, int], ...]  # sorted (value, weight)
+    den: int
 
     @classmethod
     def from_dict(cls, d: Mapping[int, Fraction]) -> "Pmf":
-        return cls(tuple(sorted((v, p) for v, p in d.items() if p != 0)))
+        # Over the lcm of the reduced denominators the weights have no
+        # common factor with it: they are already in lowest terms.
+        probs = [(v, Fraction(p)) for v, p in sorted(d.items()) if p != 0]
+        den = lcm(*(p.denominator for _, p in probs))
+        weights = tuple((v, p.numerator * (den // p.denominator)) for v, p in probs)
+        mass = sum(w for _, w in weights)
+        if mass != den or any(w < 0 for _, w in weights):
+            raise InternalInconsistency(
+                f"pmf does not normalize: sum = {Fraction(mass, den)}"
+            )
+        return cls(weights, den)
+
+    @property
+    def probs(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((v, Fraction(w, self.den)) for v, w in self.weights)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.probs)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.probs)
-
-    def prob(self, value: int) -> Fraction:
-        return dict(self.probs).get(value, Fraction(0))
+        return tuple(v for v, _ in self.weights)
 
     def mean(self) -> Fraction:
-        return sum((Fraction(v) * p for v, p in self.probs), Fraction(0))
+        return Fraction(sum(v * w for v, w in self.weights), self.den)
 
     def convolve(self, other: "Pmf") -> "Pmf":
-        a, a_den = _weights(self)
-        b, b_den = _weights(other)
-        den = a_den * b_den
-        g = gcd(*a, *b) or 1
+        den = self.den * other.den
+        g = gcd(*self.support, *other.support) or 1
         width = _slot_width(den)
-        return _unpack(_pack(a, g, width) * _pack(b, g, width), g, width, den)
+        packed = _pack(self.weights, g, width) * _pack(other.weights, g, width)
+        return _unpack(packed, g, width, den)
 
     def convolve_power(self, k: int) -> "Pmf":
-        base, den = _weights(self)
-        den **= k
-        g = gcd(*base) or 1
+        den = self.den**k
+        g = gcd(*self.support) or 1
         width = _slot_width(den)
-        return _unpack(_pack(base, g, width) ** k, g, width, den)
+        return _unpack(_pack(self.weights, g, width) ** k, g, width, den)
 
     def csv_rows(self) -> list[tuple]:
         return [
@@ -87,27 +92,17 @@ class Pmf:
         )
 
 
-def _weights(pmf: Pmf) -> tuple[dict[int, int], int]:
-    """Integer weights of ``pmf`` over the lcm of its denominators."""
-    den = lcm(*(p.denominator for _, p in pmf.probs))
-    return {v: p.numerator * (den // p.denominator) for v, p in pmf.probs}, den
-
-
-def _from_weights(weights: Mapping[int, int], den: int) -> Pmf:
-    return Pmf.from_dict({v: Fraction(w, den) for v, w in weights.items()})
-
-
 def _slot_width(den: int) -> int:
     """Bytes per packed slot for weights over ``den``.  The weights of a
     product are non-negative and sum to ``den``, so none exceeds it."""
     return den.bit_length() // 8 + 1
 
 
-def _pack(weights: Mapping[int, int], g: int, width: int) -> int:
-    """One integer holding weights[i*g] in the little-endian byte slot i
-    of ``width`` bytes (Kronecker substitution)."""
-    slots = [0] * (max(weights) // g + 1)
-    for v, w in weights.items():
+def _pack(weights: tuple[tuple[int, int], ...], g: int, width: int) -> int:
+    """One integer holding the weight at i*g in the little-endian byte slot
+    i of ``width`` bytes (Kronecker substitution)."""
+    slots = [0] * (weights[-1][0] // g + 1)
+    for v, w in weights:
         slots[v // g] = w
     return int.from_bytes(
         b"".join(w.to_bytes(width, "little") for w in slots), "little"
@@ -117,16 +112,18 @@ def _pack(weights: Mapping[int, int], g: int, width: int) -> int:
 def _unpack(packed: int, g: int, width: int, den: int) -> Pmf:
     """The pmf whose weight over ``den`` at i*g is slot i of ``packed``."""
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
-    weights = {}
+    weights = []
     for i in range(0, len(raw), width):
         w = int.from_bytes(raw[i:i + width], "little")
         if w:
-            weights[i // width * g] = w
-    return _from_weights(weights, den)
+            weights.append((i // width * g, w))
+    return Pmf(tuple(weights), den)
 
 
 def _check_field(G: GroupSpec, q: int) -> None:
-    if q < 2 or (q - 1) % G.exponent:
+    if len(prime_factors(q)) != 1:
+        raise BadField(f"q = {q} is not a prime power")
+    if (q - 1) % G.exponent:
         raise BadField(f"q = {q} is not 1 mod exp(G) = {G.exponent}")
 
 
@@ -143,7 +140,8 @@ def single_point_law(G: GroupSpec, q: int) -> Pmf:
         weights[size // s] = weights.get(size // s, 0) + s * phi_G(G, s)
     denom = point_denominator(G, q)
     weights[0] = denom - sum(weights.values())
-    return _from_weights(weights, denom)
+    g = gcd(denom, *weights.values())
+    return Pmf(tuple(sorted((v, w // g) for v, w in weights.items() if w)), denom // g)
 
 
 def total_law(G: GroupSpec, q: int) -> Pmf:
@@ -165,9 +163,9 @@ def pattern_probability(G: GroupSpec, q: int, multiplicities: Mapping) -> Fracti
     m = {}
     for key, mult in multiplicities.items():
         rep = tuple(key)
-        if rep not in classes or mult < 0:
+        if rep not in classes or not isinstance(mult, int) or mult < 0:
             raise BadMultiplicity(f"bad class/multiplicity {key!r}: {mult}")
-        m[rep] = int(mult)
+        m[rep] = mult
     if sum(m.values()) != q + 1:
         raise BadMultiplicity(f"multiplicities sum to {sum(m.values())}, not q+1")
     zero = (0,) * G.n
@@ -285,14 +283,13 @@ def compare(empirical: Mapping[int, int], theoretical: Pmf) -> ComparisonReport:
     draws = sum(empirical.values())
     if draws == 0:
         raise EmptyHistogram("empirical histogram has no mass")
-    values = sorted(set(theoretical.support) | set(empirical))
-    probs = theoretical.as_dict()
-    residuals = {}
-    tv = Fraction(0)
-    for v in values:
-        emp = Fraction(empirical.get(v, 0), draws)
-        th = probs.get(v, Fraction(0))
-        residuals[v] = emp - th
-        tv += abs(emp - th)
-    tv /= 2
+    # count/draws - weight/den over the common denominator draws*den
+    den, weights = theoretical.den, dict(theoretical.weights)
+    diffs = {
+        v: empirical.get(v, 0) * den - weights.get(v, 0) * draws
+        for v in sorted(weights.keys() | empirical.keys())
+    }
+    scale = draws * den
+    tv = Fraction(sum(map(abs, diffs.values())), 2 * scale)
+    residuals = {v: Fraction(x, scale) for v, x in diffs.items()}
     return ComparisonReport(draws, tv, float(tv), residuals)

@@ -5,8 +5,11 @@ Elements of F_q are encoded as the integers 0..q-1.  For k = 1 the encoding
 is the residue itself; for k > 1 an element a_0 + a_1*t + ... + a_{k-1}*t^{k-1}
 of F_p[t]/(modulus) is encoded as the base-p integer a_0 + a_1*p + ... .
 The modulus is the encoding-least monic irreducible of degree k, so the
-encoding is deterministic.  For k > 1, addition and negation read Zech
-logarithm and negation tables; digits are decoded only while building.
+encoding is deterministic.  It is found, and the tables are built, with the
+polyring arithmetic over the prime field F_p: a `Polynomial` product mod the
+modulus, and trial division by `is_irreducible`.  For k > 1, addition and
+negation read Zech logarithm and negation tables; digits are decoded only
+while building.
 
 All characters are powers of one fixed character of order q-1 attached to the
 stored generator: chi_m(g^k) = zeta_m^(k mod m).  This makes the family
@@ -17,22 +20,13 @@ whenever m' | m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional
 
 from .errors import BadOrder, NotPrime, TooLarge
 from .numtheory import prime_factors
+from .polyring import Polynomial, enumerate_monic, is_irreducible
 
 TABLE_BUDGET = 1 << 16
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, k: int, budget: int = TABLE_BUDGET):
-        if not _is_prime(p):
+        if prime_factors(p) != [p]:
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise TooLarge(f"k must be positive, got {k}")
@@ -108,7 +102,12 @@ class FieldCtx:
         self.p = p
         self.k = k
         self.q = q
-        self.modulus = None if k == 1 else self._least_irreducible()
+        self.modulus = None
+        if k > 1:
+            # The encoding-least monic irreducible of degree k over F_p.
+            monics = enumerate_monic(FieldCtx(p, 1), k)
+            self._modulus = next(f for f in monics if is_irreducible(f))
+            self.modulus = self._modulus.coeffs
         self._build_tables()
 
     # -- construction helpers -------------------------------------------
@@ -120,59 +119,12 @@ class FieldCtx:
             a //= self.p
         return digits
 
-    def _encode(self, digits: list[int]) -> int:
-        a = 0
-        for c in reversed(digits):
-            a = a * self.p + c
-        return a
-
-    def _poly_mulmod(self, u: list[int], v: list[int], mod: list[int]) -> list[int]:
-        # mod is monic of degree k, coefficients low-first, length k+1.
-        p, k = self.p, len(mod) - 1
-        prod = [0] * (len(u) + len(v) - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-        prod = prod[:k]
-        prod += [0] * (k - len(prod))
-        return prod
-
-    def _least_irreducible(self) -> tuple[int, ...]:
-        """Encoding-least monic irreducible of degree k over F_p."""
-        p, k = self.p, self.k
-
-        def monic(d):
-            return ([code // p**i % p for i in range(d)] + [1] for code in range(p**d))
-
-        def divides(g, f):
-            # monic g | f over F_p, schoolbook remainder check
-            rem = list(f)
-            dg = len(g) - 1
-            for i in range(len(rem) - 1, dg - 1, -1):
-                c = rem[i]
-                if c:
-                    for j in range(dg + 1):
-                        rem[i - dg + j] = (rem[i - dg + j] - c * g[j]) % p
-            return not any(rem[:dg])
-
-        small = [g for d in range(1, k // 2 + 1) for g in monic(d)]
-        for f in monic(k):
-            if not any(divides(g, f) for g in small):
-                return tuple(f)
-        raise AssertionError("no irreducible found")  # pragma: no cover
-
     def _raw_mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        prod = self._poly_mulmod(self._decode(a), self._decode(b), list(self.modulus))
-        return self._encode(prod)
+        F = self._modulus.ctx
+        prod = Polynomial(F, self._decode(a)) * Polynomial(F, self._decode(b))
+        return sum(c * self.p**i for i, c in enumerate((prod % self._modulus).coeffs))
 
     def _raw_pow(self, a: int, e: int) -> int:
         out = 1

@@ -12,11 +12,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress, groupby, product, repeat
 from math import comb, factorial, prod
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import FieldMismatch, ZeroPolynomial
-from .field import FieldCtx
 from .numtheory import count_irreducibles
+
+if TYPE_CHECKING:  # field builds F_{p^k} from this module
+    from .field import FieldCtx
 
 
 class Polynomial:

@@ -198,6 +198,17 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert out.startswith("value,")
 
 
+@pytest.mark.parametrize("mode", ["exact", "Sample", 1, None])
+def test_config_file_mode_must_be_a_known_mode(tmp_path, capsys, mode):
+    # A config file's mode does not pass through the --mode choices.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 5, "r": "2", "degrees": {"1": 4}, "mode": mode}))
+    code, out, err = run(capsys, "--config", str(cfg), "distribution")
+    assert code == 2
+    assert out == ""
+    assert "mode must be enumerate or sample" in err
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": "2", "degrees": {"1": 6}}))

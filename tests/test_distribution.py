@@ -103,6 +103,22 @@ def test_field_congruence_required():
         single_point_law(GroupSpec((3,)), 5)
 
 
+@pytest.mark.parametrize("q", [1, 15, 21, 45])
+@pytest.mark.parametrize(
+    "law",
+    [
+        single_point_law,
+        total_law,
+        lambda G, q: pattern_probability(G, q, {(0,): q + 1}),
+        lambda G, q: size_main_term(G, q, 4),
+    ],
+)
+def test_q_must_be_a_prime_power(law, q):
+    # 15, 21 and 45 are 1 mod 2 but no field has that many elements.
+    with pytest.raises(BadField, match="not a prime power"):
+        law(GroupSpec((2,)), q)
+
+
 @pytest.mark.parametrize("r", [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3)])
 @pytest.mark.parametrize("q", [7, 13, 25, 49])
 def test_single_point_mean_is_one(r, q):
@@ -265,6 +281,11 @@ def test_pattern_probability_validation():
         pattern_probability(G, 5, {(0,): 3})
     with pytest.raises(BadMultiplicity):
         pattern_probability(G, 5, {(0,): 7, (7,): -1})
+    # Multiplicities must be ints: 2.5 + 2.5 is not q+1 = 4 at q = 3.
+    with pytest.raises(BadMultiplicity):
+        pattern_probability(G, 3, {(0,): 2.5, (1,): 2.5})
+    with pytest.raises(BadMultiplicity):
+        pattern_probability(G, 3, {(0,): 2.0, (1,): 2})
 
 
 def test_irreducible_counts():

@@ -1,11 +1,19 @@
 """Tests for table-backed finite fields and coherent characters."""
 
+import hashlib
+import os
+import pkgutil
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abelcover
 from abelcover.errors import BadOrder, NotPrime, TooLarge
 from abelcover.field import CharValue, character, make_field
+from abelcover.numtheory import prime_factors
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 
@@ -190,3 +198,43 @@ def stepped_tables(ctx):
 def test_tables_match_raw_mul_stepping(p, k):
     ctx = make_field(p, k)
     assert (ctx._exp, ctx._dlog, ctx._zech, ctx._neg) == stepped_tables(ctx)
+
+
+# sha256 of repr((q, modulus, generator, _exp, _dlog, _zech, _neg)) over
+# PINNED_FIELDS, in order; k = 1 fields have no Zech or negation table.
+FIELD_TABLES_SHA256 = "985e38e7c1cb20e4eb3aa177fef940a15c74b2e67c9427f78d0aa8caf8c0073e"
+PINNED_FIELDS = sorted(
+    ((p, k) for p in range(2, 1025) if prime_factors(p) == [p]
+     for k in range(1, 11) if p**k <= 1024),
+    key=lambda pk: pk[0] ** pk[1],
+) + [(2, 16), (3, 10)]
+
+
+def test_field_tables_are_pinned():
+    """Every prime power q <= 1024, plus F_{2^16} and F_{3^10}: a change to
+    the modulus, the generator or any table changes the digest."""
+    assert len(PINNED_FIELDS) == 200
+    digest = hashlib.sha256()
+    for p, k in PINNED_FIELDS:
+        ctx = make_field(p, k)
+        row = (
+            ctx.q, ctx.modulus, ctx.generator, ctx._exp, ctx._dlog,
+            getattr(ctx, "_zech", None), getattr(ctx, "_neg", None),
+        )
+        digest.update(repr(row).encode())
+    assert digest.hexdigest() == FIELD_TABLES_SHA256
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(abelcover.__path__))
+)
+def test_each_module_imports_in_a_fresh_interpreter(module):
+    # field imports polyring at module level; polyring must not import field
+    # back, or importing either one first would meet a half-built module.
+    src = os.path.dirname(os.path.dirname(abelcover.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", "import abelcover.%s" % module],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
