@@ -95,12 +95,25 @@ def _pick_json(args, config, name, what):
     return json.loads(value) if isinstance(value, str) else value
 
 
+def _int(value, what):
+    """value, which must be an int; a config file's floats and bools are not."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    return value
+
+
+def _int_list(value, what):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError("%s must be a JSON list of integers, not %r" % (what, value))
+    return value
+
+
 def _build_context(args, config):
     p = _pick(args, config, "p")
     if p is None:
         raise ValueError("missing --p (field characteristic)")
     k = _pick(args, config, "k", 1)
-    return field_mod.make_field(int(p), int(k))
+    return field_mod.make_field(_int(p, "--p"), _int(k, "--k"))
 
 
 def _build_group(args, config):
@@ -109,7 +122,7 @@ def _build_group(args, config):
         raise ValueError("missing --r (cyclic factor orders)")
     if isinstance(r, str):
         r = [int(part) for part in r.split(",") if part.strip()]
-    return GroupSpec(tuple(int(x) for x in r))
+    return GroupSpec(tuple(_int_list(r, "--r")))
 
 
 def _build_degrees(args, config, group):
@@ -141,12 +154,6 @@ def cmd_genus(args, config):
 
 # ---------------------------------------------------------------------------
 # count
-
-
-def _int_list(value, what):
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
-        raise ValueError("%s must be a JSON list of integers, not %r" % (what, value))
-    return value
 
 
 def cmd_count(args, config):
@@ -184,8 +191,8 @@ def cmd_distribution(args, config):
     mode = _pick(args, config, "mode", "enumerate")
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be enumerate or sample, not %r" % (mode,))
-    draws = int(_pick(args, config, "draws", 2000))
-    seed = int(_pick(args, config, "seed", 0))
+    draws = _int(_pick(args, config, "draws", 2000), "--draws")
+    seed = _int(_pick(args, config, "seed", 0), "--seed")
     ladder = _pick(args, config, "ladder")
     out_path = _pick(args, config, "out")
     lines = []

@@ -20,14 +20,14 @@ x is 0 where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every
 ell.  The key -> state rule (_point_state) maps the key vector of the
 f_alpha at x to the point state (beta_x, {position: exponent or None}): the
 vanishing alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a
-factor vanishes, e_alpha = pair_weight(pair, alpha).  count_points computes
-the keys by Horner evaluation and dlog, the bulk walk reads them from
-per-degree key tables by base-q code; states are memoised per key vector,
-the state at infinity per degree map.  The one count rule, _count_above,
-adds the c-part pair_weight(pair, dlog c), memoised per (field, G, c), to a
-state and applies the dichotomy.  count_points (and eval_at) call it per
-point; both bulk histograms per point state and class of leading units
-(_class_walk), each class weighted (q-1)^n/|G|.
+factor vanishes, e_alpha = pair_weight(pair, alpha).  The one count rule,
+_count_above, adds the c-part pair_weight(pair, dlog c), memoised per
+(field, G, c), to a state and applies the dichotomy.  count_points (and
+eval_at) find the keys by Horner evaluation and dlog and count per point.
+Both bulk histograms (_class_walk) take each coordinate from the coprime
+walk as its row of a per-degree key table and count once per key vector
+and class of leading units, each class weighted (q-1)^n/|G|.  The state at
+infinity is memoised per degree map.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -55,7 +54,7 @@ from .groupcomb import (
     enumerate_index_pairs,
     pair_weight,
 )
-from .moduli import CoverTuple, DegreeVector, d_vec, space_tuples
+from .moduli import CoverTuple, DegreeVector, component_degree_maps, d_vec, space_tuples
 from .numtheory import divisors
 from .polyring import Polynomial
 
@@ -303,7 +302,7 @@ def _key_table(ctx: FieldCtx, E: int, d: int):
             blocks = (map(shift[ctx.mul(a, xi)].__getitem__, values) for a in range(q))
             values = list(itertools.chain.from_iterable(blocks))
         lead = shift[ctx.pow(x, d)]
-        columns.append(store(key[lead[v]] for v in values))
+        columns.append(store(map([key[v] for v in lead].__getitem__, values)))
     return store(itertools.chain.from_iterable(zip(*columns)))
 
 
@@ -330,59 +329,25 @@ def _point_state(G: GroupSpec, table: tuple, alphas: tuple, keys: tuple, x) -> t
     return (vanishing[0] if vanishing else (0,) * G.n), exps
 
 
-class _Walk:
-    """What one bulk walk shares across its tuples: the key tables, one per
-    degree in use, built on first use and read by base-q code, and the memo
-    of point states by key vector, so the pair loop runs once per distinct
-    key vector.  Nothing outlives the walk."""
-
-    def __init__(self, ctx: FieldCtx, G: GroupSpec, alphas: tuple):
-        self.ctx, self.E = ctx, G.exponent
-        self.table = _exponent_table(G, alphas)
-        self.tables: dict = {}
-        self.memo: dict = {}
-
-    def keys(self, polys: dict) -> tuple:
-        q, out, degrees = self.ctx.q, [], []
-        for f in polys.values():
-            coeffs = f.coeffs
-            d = len(coeffs) - 1
-            degrees.append(d)
-            if d not in self.tables:
-                weights = [q ** (i + 1) for i in range(d)]
-                self.tables[d] = _key_table(self.ctx, self.E, d), weights
-            table, weights = self.tables[d]
-            start = sum(map(mul, coeffs, weights))  # q * code; a_d = 1 is left out
-            out.append(table[start : start + q])
-        return out, degrees
-
-
-def _component_point_data(
-    ctx: FieldCtx, G: GroupSpec, polys: dict, walk: Optional[_Walk] = None
-) -> list:
+def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
     """The point states (_point_state) at 0, ..., q-1, then the state at
-    INFINITY (_infinity_state), without the c-part.  The keys come by Horner
-    evaluation and dlog or, within a walk, from its key tables, and the
-    walk's memo is used.  polys is keyed by every nonzero alpha, in the
-    walk's order."""
-    alphas = tuple(polys)
-    if walk is None:
-        E, table, memo = G.exponent, _exponent_table(G, alphas), {}
-        add, mul, dlog = ctx.add, ctx.mul, ctx.dlog
-        keys, degrees = [], []
-        for f in polys.values():
-            lead, *rest = f.coeffs[::-1] or (0,)  # Horner, from the top
-            degrees.append(len(rest))
-            row = []
-            for x in range(ctx.q):
-                v = lead
-                for c in rest:
-                    v = add(mul(v, x), c)
-                row.append(1 + dlog(v) % E if v else 0)
-            keys.append(row)
-    else:
-        table, memo = walk.table, walk.memo
-        keys, degrees = walk.keys(polys)
+    INFINITY (_infinity_state), without the c-part, for one cover: the keys
+    come by Horner evaluation and dlog.  polys is keyed by every nonzero
+    alpha."""
+    alphas, E = tuple(polys), G.exponent
+    table, memo = _exponent_table(G, alphas), {}
+    add, mul, dlog = ctx.add, ctx.mul, ctx.dlog
+    keys, degrees = [], []
+    for f in polys.values():
+        lead, *rest = f.coeffs[::-1] or (0,)  # Horner, from the top
+        degrees.append(len(rest))
+        row = []
+        for x in range(ctx.q):
+            v = lead
+            for c in rest:
+                v = add(mul(v, x), c)
+            row.append(1 + dlog(v) % E if v else 0)
+        keys.append(row)
     data = [
         memo.get(k) or memo.setdefault(k, _point_state(G, table, alphas, k, x))
         for x, k in enumerate(zip(*keys))
@@ -415,73 +380,81 @@ def _c_part(ctx: FieldCtx, G: GroupSpec, c: tuple) -> tuple:
 # -- bulk harnesses -----------------------------------------------------
 
 
-def _class_walk(ctx, G, dv, budget):
-    """The bulk walk per class of leading units: the point states of each
-    polynomial tuple, the packed sum of the rows of a list of states, the
-    fields of a packed int, and the weight (q-1)^n/|G| of a class.  The
-    c-part depends on c only through (dlog c_j mod r_j)_j, as s_j | r_j, so
-    the c-block runs over one unit vector (g^a_j)_j per class, 0 <= a_j < r_j.
-    Bits k*b to k*b+b-1 of a row hold the count above x for class k; b bits
-    hold a tuple's total, at most |G|(q+1)."""
-    tuples = space_tuples(ctx, G, dv, budget)
+def _class_walk(ctx, G, dv, budget, x=None) -> Counter:
+    """The covers of the space per (beta, n): n the total over P^1(F_q) and
+    beta None, or at a point x the count above x and beta_x.  The c-part
+    depends on c only through (dlog c_j mod r_j)_j, as s_j | r_j, so the
+    c-block runs over one unit vector (g^a_j)_j per class, 0 <= a_j < r_j.
+    A state's counts for all classes are packed into one integer, class k in
+    bits k*b to k*b+b-1 (b bits hold a total, at most |G|(q+1)), and a
+    tuple's finite total is one sum of the packed rows of its key vectors."""
+    q, alphas, key_tables = ctx.q, tuple(sorted(dv.as_dict())), {}
+
+    def key_row(d, code):
+        if d not in key_tables:
+            key_tables[d] = _key_table(ctx, G.exponent, d)
+        return key_tables[d][code * q : code * q + q]
+
+    tuples = space_tuples(ctx, G, dv, budget, key_row)
     g, reps = ctx.generator, itertools.product(*map(range, G.r))
     classes = [_c_part(ctx, G, tuple(ctx.pow(g, a) for a in rep)) for rep in reps]
-    walk = _Walk(ctx, G, tuple(sorted(dv.as_dict())))
-    supports, bits = _supports(G), (G.size * (ctx.q + 1)).bit_length()
-    # Point states are shared objects that the walk's memo and the infinity
-    # memo keep alive to its end, so the id of a state keys its row.
-    rows: dict = {}
+    table, supports = _exponent_table(G, alphas), _supports(G)
+    bits = (G.size * (q + 1)).bit_length()
+    infinity = {
+        tag: _infinity_state(G, alphas, tuple(map(degmap.get, alphas)))
+        for tag, degmap in component_degree_maps(G, dv)
+    }
 
-    def packed(points):
-        try:
-            return sum(map(rows.__getitem__, map(id, points)))
-        except KeyError:
-            for pt in points:
-                counts = (_count_above(supports[pt[0]][0], pt[1], b) for b in classes)
-                rows[id(pt)] = sum(n << k * bits for k, n in enumerate(counts))
-            return packed(points)
+    def pack(state):
+        counts = (_count_above(supports[state[0]][0], state[1], b) for b in classes)
+        return sum(n << k * bits for k, n in enumerate(counts))
 
-    def fields(total):
-        return (total >> k * bits & (1 << bits) - 1 for k in range(G.size))
+    if x is None:
+        rows: dict = {}
 
-    states = (_component_point_data(ctx, G, polys, walk) for _, polys in tuples)
-    return states, packed, fields, (ctx.q - 1) ** G.n // G.size
+        def finite(coords):
+            try:
+                return sum(map(rows.__getitem__, zip(*coords)))
+            except KeyError:
+                for y, keys in enumerate(zip(*coords)):
+                    rows[keys] = pack(_point_state(G, table, alphas, keys, y))
+                return finite(coords)
+
+        tally = Counter((tag, finite(p.values())) for tag, p in tuples)
+        packed = [((None, t + pack(infinity[tag])), m) for (tag, t), m in tally.items()]
+    elif x == INFINITY:
+        at_x = Counter(tag for tag, _ in tuples)
+        packed = [((infinity[t][0], pack(infinity[t])), m) for t, m in at_x.items()]
+    else:
+        at_x = Counter(tuple(row[x] for row in p.values()) for _, p in tuples)
+        states = ((_point_state(G, table, alphas, k, x), m) for k, m in at_x.items())
+        packed = [((s[0], pack(s)), m) for s, m in states]
+    weight, out = (q - 1) ** G.n // G.size, Counter()
+    for (beta, row), m in packed:
+        for k in range(G.size):
+            out[beta, row >> k * bits & (1 << bits) - 1] += m * weight
+    return out
 
 
 def space_count_histogram(
-    ctx: FieldCtx,
-    G: GroupSpec,
-    dv: DegreeVector,
-    budget: Optional[int] = None,
+    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, budget: Optional[int] = None
 ) -> Counter:
     """Histogram of #C(P^1(F_q)) over the full space.
 
     Equivalent to running count_points on every enumerated tuple, but the
-    counts are taken per class of leading units and point state (_class_walk).
+    counts are taken per class of leading units and key vector (_class_walk).
     """
-    states, packed, fields, weight = _class_walk(ctx, G, dv, budget)
-    hist: Counter = Counter()
-    for totals, m in Counter(map(packed, states)).items():
-        for total in fields(totals):
-            hist[total] += m * weight
-    return hist
+    return Counter({n: m for (_, n), m in _class_walk(ctx, G, dv, budget).items()})
 
 
 def space_pattern_histogram(
-    ctx: FieldCtx,
-    G: GroupSpec,
-    dv: DegreeVector,
-    x,
-    budget: Optional[int] = None,
+    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, x, budget: Optional[int] = None
 ) -> Counter:
     """Histogram, over the full space, of the value pattern at a fixed x,
     keyed by (class representative of beta, all-surviving-values-are-one)."""
-    idx = _point_index(ctx, x)
+    _point_index(ctx, x)  # x must be a point of P^1(F_q)
     reps = {beta: class_of(G, beta).representative for beta in G.all_vectors()}
-    states, packed, fields, weight = _class_walk(ctx, G, dv, budget)
-    at_x = Counter((p[idx][0], packed(p[idx : idx + 1])) for p in states)
     hist: Counter = Counter()
-    for (beta, row), m in at_x.items():
-        for n in fields(row):
-            hist[(reps[beta], n > 0)] += m * weight
+    for (beta, n), m in _class_walk(ctx, G, dv, budget, x).items():
+        hist[(reps[beta], n > 0)] += m
     return hist

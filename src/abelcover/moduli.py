@@ -15,7 +15,7 @@ import os
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -265,10 +265,12 @@ def space_tuples(
     G: GroupSpec,
     dv: DegreeVector,
     budget: Optional[int] = None,
+    make: Optional[Callable] = None,
 ) -> Iterator[tuple[Optional[tuple[int, ...]], dict]]:
     """(tag, {alpha: f_alpha}) for every polynomial tuple of the space, plain
-    component first, then the dropped components in beta order.  The budget
-    is checked on the call, the components are walked lazily."""
+    component first, then the dropped components in beta order, each f_alpha
+    built by make as in enumerate_coprime_tuples.  The budget is checked on
+    the call, the components are walked lazily."""
     if budget is None:
         budget = int(os.environ.get("ABCOVER_BUDGET", DEFAULT_BUDGET))
     bound = space_size_bound(ctx, G, dv)
@@ -278,7 +280,7 @@ def space_tuples(
     return (
         (tag, polys)
         for tag, degmap in component_degree_maps(G, dv)
-        for polys in enumerate_coprime_tuples(ctx, degmap)
+        for polys in enumerate_coprime_tuples(ctx, degmap, make)
     )
 
 

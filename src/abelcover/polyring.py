@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress, groupby, product, repeat
 from math import comb, factorial, prod
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 from .errors import FieldMismatch, ZeroPolynomial
 from .numtheory import count_irreducibles
@@ -233,10 +233,24 @@ def enumerate_monic(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
     return _monic_where(ctx, d, repeat(1))
 
 
+def _monic_maker(ctx: FieldCtx, degrees) -> Callable[[int, int], Polynomial]:
+    """make(d, code) for d in degrees: the monic Polynomial of degree d and
+    base-q code, its digits read from tables of the low d//2 and the rest."""
+    halves, digits = {}, range(ctx.q)
+    for d in degrees:  # product() turns its last digit fastest: reverse it
+        low, high = (list(product(digits, repeat=n)) for n in (d // 2, d - d // 2))
+        halves[d] = len(low), [t[::-1] for t in low], [t[::-1] + (1,) for t in high]
+
+    def make(d: int, code: int) -> Polynomial:
+        size, low, high = halves[d]
+        return Polynomial(ctx, low[code % size] + high[code // size])
+
+    return make
+
+
 def _monic_where(ctx: FieldCtx, d: int, flags) -> Iterator[Polynomial]:
-    # product() turns its last digit fastest, so the digits are a_(d-1)..a_0.
-    for digits in compress(product(range(ctx.q), repeat=d), flags):
-        yield Polynomial(ctx, digits[::-1] + (1,))
+    make = _monic_maker(ctx, [d])
+    return (make(d, code) for code in compress(range(ctx.q**d), flags))
 
 
 def _multiples(ctx: FieldCtx, d: int, S: Polynomial) -> list[int]:
@@ -320,7 +334,9 @@ def enumerate_squarefree(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
     return _monic_where(ctx, d, _squarefree_flags(ctx, d))
 
 
-def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
+def enumerate_coprime_tuples(
+    ctx: FieldCtx, degrees: Mapping, make: Optional[Callable] = None
+) -> Iterator[dict]:
     """Tuples of monic squarefree pairwise-coprime polynomials with the
     prescribed degrees, keyed like ``degrees``, each exactly once.
 
@@ -329,7 +345,9 @@ def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
     those of the already-chosen coordinates is skipped.  The squarefree
     flags of each degree are sieved once per call, the factor masks too
     when two or more coordinates have positive degree: a common factor of
-    two coordinates has at most the second largest degree.
+    two coordinates has at most the second largest degree.  Each chosen
+    coordinate is built once, as make(d, code) from its degree and base-q
+    code; by default that is the monic Polynomial.
     """
     keys = sorted(degrees)
     if not keys:
@@ -339,19 +357,19 @@ def enumerate_coprime_tuples(ctx: FieldCtx, degrees: Mapping) -> Iterator[dict]:
     flags = {d: _squarefree_flags(ctx, d) for d in set(degrees.values())}
     positive = sorted(d for d in degrees.values() if d > 0)
     masks = _factor_masks(ctx, set(positive), positive[-2]) if len(positive) > 1 else {}
+    make = make or _monic_maker(ctx, flags)  # flags is keyed by the degrees
 
-    def rec(i: int, chosen: list[Polynomial], used: int) -> Iterator[dict]:
-        if i == len(keys):
-            yield dict(zip(keys, chosen))
-            return
-        d = degrees[keys[i]]
-        # product() turns its last digit fastest, so the digits are a_(d-1)..a_0.
-        candidates = zip(product(range(q), repeat=d), masks.get(d) or repeat(0))
-        for digits, mask in compress(candidates, flags[d]):
+    def rec(i: int, chosen: list, used: int) -> Iterator[dict]:
+        d, last = degrees[keys[i]], i + 1 == len(keys)
+        candidates = zip(range(q**d), masks.get(d) or repeat(0))
+        for code, mask in compress(candidates, flags[d]):
             if mask & used:
                 continue
-            chosen.append(Polynomial(ctx, digits[::-1] + (1,)))
-            yield from rec(i + 1, chosen, used | mask)
+            chosen.append(make(d, code))
+            if last:  # no generator per tuple
+                yield dict(zip(keys, chosen))
+            else:
+                yield from rec(i + 1, chosen, used | mask)
             chosen.pop()
 
     yield from rec(0, [], 0)

@@ -379,7 +379,8 @@ def test_memos_keep_fields_and_components_apart():
 
 @lru_cache(maxsize=None)
 def field_of(q):
-    return make_field(*{3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])
+    p, k = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}[q]
+    return make_field(p, k)
 
 
 @st.composite
@@ -412,6 +413,9 @@ def small_spaces(draw):
 @example((7, (2,), {(1,): 2}, INFINITY))
 @example((9, (4,), {(1,): 1, (3,): 1}, 0))
 @example((7, (2, 2), {(1, 1): 2}, 0))
+# A cubic extension of characteristic 2 with two branched alpha, both
+# dropped components and the point at infinity: 504 covers.
+@example((8, (7,), {(1,): 1, (6,): 1}, INFINITY))
 def test_bulk_histograms_match_per_cover_counts(space):
     """Both bulk histograms against per-cover count_points and eval_at."""
     q, r, degrees, x = space

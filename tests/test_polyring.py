@@ -271,7 +271,8 @@ def field_and_degrees(draw):
 @given(field_and_degrees())
 def test_coprime_tuples_match_brute_force(case):
     """The walk is the product of the gcd-filtered candidates in sorted-key
-    order, cut to the pairwise coprime tuples, and has the counted size."""
+    order, cut to the pairwise coprime tuples, and has the counted size.
+    A constructor sees each coordinate's degree and base-q code."""
     p, k, degrees = case
     ctx = make_field(p, k)
     keys = sorted(degrees)
@@ -282,6 +283,14 @@ def test_coprime_tuples_match_brute_force(case):
     ]
     assert list(enumerate_coprime_tuples(ctx, degrees)) == brute
     assert len(brute) == count_coprime_tuples(ctx.q, degrees.values())
+    codes = [
+        {
+            key: (f.degree, sum(a * ctx.q**i for i, a in enumerate(f.coeffs[:-1])))
+            for key, f in t.items()
+        }
+        for t in brute
+    ]
+    assert list(enumerate_coprime_tuples(ctx, degrees, lambda d, c: (d, c))) == codes
 
 
 @pytest.mark.parametrize(
