@@ -375,8 +375,8 @@ def check_genus():
 def check_oracle():
     """Character-sum counts against the brute-force fibre oracle, the
     number of enumerated covers against the counted space size, sampled
-    covers against the enumerated ones, and both bulk histograms against
-    the per-cover counts."""
+    covers against the enumerated ones, and the bulk count histogram and the
+    pattern histograms at 0 and infinity against the per-cover counts."""
     jobs = [
         (3, 1, (2,), {"1": 2}),
         (5, 1, (2,), {"1": 4}),
@@ -402,12 +402,13 @@ def check_oracle():
             "oracle",
             "a sampled cover is not in the enumerated space for q=%d r=%s" % (ctx.q, r),
         )
-        counts, patterns = Counter(), Counter()
+        counts, patterns = Counter(), {0: Counter(), "inf": Counter()}
         for cover in covers:
             report = count_points(ctx, group, cover)
             counts[report.total] += 1
-            zero = report.points[0]
-            patterns[(class_of(group, zero.beta).representative, zero.count > 0)] += 1
+            for ev in (report.points[0], report.points[-1]):
+                rep = class_of(group, ev.beta).representative
+                patterns[ev.x][(rep, ev.count > 0)] += 1
             for ev in report.points:
                 if ev.x == "inf":
                     continue
@@ -430,12 +431,13 @@ def check_oracle():
             "oracle",
             "bulk count histogram disagrees with the covers for q=%d r=%s" % (ctx.q, r),
         )
-        _require(
-            space_pattern_histogram(ctx, group, dv, 0) == patterns,
-            "oracle",
-            "bulk pattern histogram (x=0) disagrees with the covers for q=%d r=%s"
-            % (ctx.q, r),
-        )
+        for x, tally in patterns.items():
+            _require(
+                space_pattern_histogram(ctx, group, dv, x) == tally,
+                "oracle",
+                "pattern histogram (x=%s) disagrees with the covers for q=%d r=%s"
+                % (x, ctx.q, r),
+            )
 
 
 def check_distribution():

@@ -22,12 +22,11 @@ f_alpha at x to the point state (beta_x, {position: exponent or None}): the
 vanishing alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a
 factor vanishes, e_alpha = pair_weight(pair, alpha).  The one count rule,
 _count_above, adds the c-part pair_weight(pair, dlog c), memoised per
-(field, G, c), to a state and applies the dichotomy.  count_points (and
-eval_at) find the keys by Horner evaluation and dlog and count per point.
-Both bulk histograms (_class_walk) take each coordinate from the coprime
-walk as its row of a per-degree key table and count once per key vector
-and class of leading units, each class weighted (q-1)^n/|G|.  The state at
-infinity is memoised per degree map.
+class (dlog c_j mod r_j)_j, to a state and applies the dichotomy.
+count_points (and eval_at) find the keys by Horner evaluation and dlog.  The
+one walk, space_count_histogram, takes each coordinate from the coprime
+walk as its row of a per-degree key table and counts once per key vector
+and class of leading units.  space_pattern_histogram is counted, not walked.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .groupcomb import (
 )
 from .moduli import CoverTuple, DegreeVector, component_degree_maps, d_vec, space_tuples
 from .numtheory import divisors
-from .polyring import Polynomial
+from .polyring import Polynomial, count_coprime_tuples
 
 INFINITY = "inf"
 
@@ -216,7 +215,7 @@ def count_points(
     Raises InternalInconsistency where the zero support of a pattern is not
     the complement of A_beta or, with check=True, where the exact cyclotomic
     sum of the pattern values disagrees with the A_beta dichotomy."""
-    c_part = _c_part(ctx, G, t.c)
+    c_part = _c_parts(G, ctx.q)[tuple(ctx.dlog(c) % r for c, r in zip(t.c, G.r))]
     polys = t.polys()
     pairs = enumerate_index_pairs(G)
     rows = [(ell, _char_values(ell)) for ell, _ in _exponent_table(G, tuple(polys))]
@@ -366,28 +365,31 @@ def _infinity_state(G: GroupSpec, alphas: tuple, degrees: tuple) -> tuple:
     return beta, {i: None if pair_weight(pair, d) else 0 for i, pair in enumerate(pairs)}
 
 
-@lru_cache(maxsize=1 << 12)
-def _c_part(ctx: FieldCtx, G: GroupSpec, c: tuple) -> tuple:
-    """The dlog of c_(s)^(omega) mod ell per pair position.  Every counting
-    path calls this first, so it rejects a group whose exponent does not
-    divide q-1 (no characters of that order exist)."""
-    if (ctx.q - 1) % G.exponent:
-        raise BadOrder(f"exp(G) = {G.exponent} does not divide q-1 = {ctx.q - 1}")
-    logs = [ctx.dlog(cj) for cj in c]
-    return tuple(pair_weight(pair, logs) for pair in enumerate_index_pairs(G))
+@lru_cache(maxsize=None)
+def _c_parts(G: GroupSpec, q: int) -> dict:
+    """{class (dlog c_j mod r_j)_j: dlog c_(s)^(omega) mod ell per pair
+    position} over the |G| classes of leading units c (s_j | r_j, so only
+    the class of c matters).  Keyed by q, so it holds no field.  Every
+    counting path calls this before it counts: it rejects a group whose
+    exponent does not divide q-1 (no characters of that order exist)."""
+    if (q - 1) % G.exponent:
+        raise BadOrder(f"exp(G) = {G.exponent} does not divide q-1 = {q - 1}")
+    pairs, classes = enumerate_index_pairs(G), itertools.product(*map(range, G.r))
+    return {a: tuple(pair_weight(pair, a) for pair in pairs) for a in classes}
 
 
 # -- bulk harnesses -----------------------------------------------------
 
 
-def _class_walk(ctx, G, dv, budget, x=None) -> Counter:
-    """The covers of the space per (beta, n): n the total over P^1(F_q) and
-    beta None, or at a point x the count above x and beta_x.  The c-part
-    depends on c only through (dlog c_j mod r_j)_j, as s_j | r_j, so the
-    c-block runs over one unit vector (g^a_j)_j per class, 0 <= a_j < r_j.
-    A state's counts for all classes are packed into one integer, class k in
-    bits k*b to k*b+b-1 (b bits hold a total, at most |G|(q+1)), and a
-    tuple's finite total is one sum of the packed rows of its key vectors."""
+def space_count_histogram(
+    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, budget: Optional[int] = None
+) -> Counter:
+    """Histogram of #C(P^1(F_q)) over the full space, as count_points on
+    every enumerated tuple would give it.  The c-block runs over the |G|
+    classes of leading units, each weighted (q-1)^n/|G|.  A state's counts
+    for all classes are packed into one integer, class k in bits k*b to
+    k*b+b-1 (b bits hold a total, at most |G|(q+1)), and a tuple's finite
+    total is one sum of the packed rows of its key vectors."""
     q, alphas, key_tables = ctx.q, tuple(sorted(dv.as_dict())), {}
 
     def key_row(d, code):
@@ -396,65 +398,61 @@ def _class_walk(ctx, G, dv, budget, x=None) -> Counter:
         return key_tables[d][code * q : code * q + q]
 
     tuples = space_tuples(ctx, G, dv, budget, key_row)
-    g, reps = ctx.generator, itertools.product(*map(range, G.r))
-    classes = [_c_part(ctx, G, tuple(ctx.pow(g, a) for a in rep)) for rep in reps]
+    classes = list(_c_parts(G, q).values())
     table, supports = _exponent_table(G, alphas), _supports(G)
     bits = (G.size * (q + 1)).bit_length()
-    infinity = {
-        tag: _infinity_state(G, alphas, tuple(map(degmap.get, alphas)))
-        for tag, degmap in component_degree_maps(G, dv)
-    }
+    rows: dict = {}
 
     def pack(state):
         counts = (_count_above(supports[state[0]][0], state[1], b) for b in classes)
         return sum(n << k * bits for k, n in enumerate(counts))
 
-    if x is None:
-        rows: dict = {}
+    def finite(coords):
+        try:
+            return sum(map(rows.__getitem__, zip(*coords)))
+        except KeyError:
+            for y, keys in enumerate(zip(*coords)):
+                rows[keys] = pack(_point_state(G, table, alphas, keys, y))
+            return finite(coords)
 
-        def finite(coords):
-            try:
-                return sum(map(rows.__getitem__, zip(*coords)))
-            except KeyError:
-                for y, keys in enumerate(zip(*coords)):
-                    rows[keys] = pack(_point_state(G, table, alphas, keys, y))
-                return finite(coords)
-
-        tally = Counter((tag, finite(p.values())) for tag, p in tuples)
-        packed = [((None, t + pack(infinity[tag])), m) for (tag, t), m in tally.items()]
-    elif x == INFINITY:
-        at_x = Counter(tag for tag, _ in tuples)
-        packed = [((infinity[t][0], pack(infinity[t])), m) for t, m in at_x.items()]
-    else:
-        at_x = Counter(tuple(row[x] for row in p.values()) for _, p in tuples)
-        states = ((_point_state(G, table, alphas, k, x), m) for k, m in at_x.items())
-        packed = [((s[0], pack(s)), m) for s, m in states]
+    tally = Counter((tag, finite(p.values())) for tag, p in tuples)
+    infinity = {
+        tag: pack(_infinity_state(G, alphas, tuple(map(degmap.get, alphas))))
+        for tag, degmap in component_degree_maps(G, dv)
+    }
     weight, out = (q - 1) ** G.n // G.size, Counter()
-    for (beta, row), m in packed:
+    for (tag, total), m in tally.items():
+        row = total + infinity[tag]
         for k in range(G.size):
-            out[beta, row >> k * bits & (1 << bits) - 1] += m * weight
+            out[row >> k * bits & (1 << bits) - 1] += m * weight
     return out
 
 
-def space_count_histogram(
-    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, budget: Optional[int] = None
-) -> Counter:
-    """Histogram of #C(P^1(F_q)) over the full space.
-
-    Equivalent to running count_points on every enumerated tuple, but the
-    counts are taken per class of leading units and key vector (_class_walk).
-    """
-    return Counter({n: m for (_, n), m in _class_walk(ctx, G, dv, budget).items()})
-
-
-def space_pattern_histogram(
-    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, x, budget: Optional[int] = None
-) -> Counter:
+def space_pattern_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, x) -> Counter:
     """Histogram, over the full space, of the value pattern at a fixed x,
-    keyed by (class representative of beta, all-surviving-values-are-one)."""
-    _point_index(ctx, x)  # x must be a point of P^1(F_q)
-    reps = {beta: class_of(G, beta).representative for beta in G.all_vectors()}
-    hist: Counter = Counter()
-    for (beta, n), m in _class_walk(ctx, G, dv, budget, x).items():
-        hist[(reps[beta], n > 0)] += m
-    return hist
+    keyed by (class representative of beta, all-surviving-values-are-one).
+    Counted, not walked: given beta at x, the class of the leading units is
+    uniform over G, and e(beta) of the |G| classes make every surviving value
+    one.  At infinity a component's covers all have beta = -d_vec, its tag."""
+    q, zero, hist = ctx.q, (0,) * G.n, Counter()
+    finite, units = _point_index(ctx, x) < q, (q - 1) ** G.n
+    _c_parts(G, q)  # rejects exp(G) not dividing q-1
+    for tag, degmap in component_degree_maps(G, dv):
+        if not finite:
+            vanishing = [(tag or zero, count_coprime_tuples(q, degmap.values()))]
+        else:
+            # t -> t + a permutes the tuples and the q monic linear polynomials,
+            # so each t - x is coprime to 1/q of the coprime (tuple, t - y)
+            # pairs.  f_alpha(x) = 0 means f_alpha = (t - x) g, deg g = d - 1.
+            lowered = [(zero, degmap)]
+            lowered += [(a, {**degmap, a: d - 1}) for a, d in degmap.items() if d]
+            vanishing = [
+                (beta, count_coprime_tuples(q, [*degrees.values(), 1]) // q)
+                for beta, degrees in lowered
+            ]
+        for beta, n in vanishing:
+            cls, m = class_of(G, beta), units * n
+            ones = m * cls.e // G.size
+            hist[cls.representative, True] += ones
+            hist[cls.representative, False] += m - ones
+    return +hist

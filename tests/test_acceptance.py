@@ -215,7 +215,7 @@ def test_criterion_7_size_asymptotic(f5, ladder_histograms):
 def test_criterion_8_pattern_frequencies(f5):
     G = GroupSpec((2,))
     dv = normalize_degrees(G, {(1,): 8})
-    hist = space_pattern_histogram(f5, G, dv, 0, budget=10_000_000)
+    hist = space_pattern_histogram(f5, G, dv, 0)
     n = sum(hist.values())
     p_all_ones = F(hist.get(((0,), True), 0), n)
     p_ramified = F(hist.get(((1,), True), 0) + hist.get(((1,), False), 0), n)

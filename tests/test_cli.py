@@ -415,6 +415,21 @@ def test_verify_catches_a_key_table_off_at_one_code(monkeypatch, capsys):
     assert "FAIL oracle (bulk count histogram disagrees" in capsys.readouterr().out
 
 
+def test_verify_catches_a_pattern_histogram_off_at_infinity(monkeypatch, capsys):
+    real = cli.space_pattern_histogram
+
+    def off_at_infinity(ctx, G, dv, x):
+        hist = real(ctx, G, dv, x)
+        if x == counting.INFINITY:
+            hist[next(iter(hist))] += 1  # one cover too many
+        return hist
+
+    monkeypatch.setattr(cli, "space_pattern_histogram", off_at_infinity)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL oracle (pattern histogram (x=inf) disagrees" in out
+
+
 @pytest.mark.parametrize("r,q", [((2,), 3), ((2,), 5), ((3,), 7), ((2, 2), 5)])
 def test_pattern_total_equals_the_fraction_sum(r, q):
     group = GroupSpec(r)

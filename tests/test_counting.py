@@ -1,7 +1,9 @@
 """Tests for the character-sum point count and its brute-force oracle."""
 
+import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 from functools import lru_cache
 
@@ -39,6 +41,7 @@ from abelcover.groupcomb import (
     ram_exponent,
 )
 from abelcover.moduli import (
+    component_sizes,
     d_vec,
     degrees_from_json,
     enumerate_space,
@@ -233,6 +236,55 @@ def test_pattern_histogram_matches_eval(f5):
     assert space_pattern_histogram(f5, G, dv, x) == slow
 
 
+# Spaces far beyond enumeration (Z/2 at q = 5, d = 32 has about 8.9e22 covers).
+COUNTED_PATTERN_SPACES = [
+    (5, 1, (2,), {(1,): 32}),
+    (7, 1, (3,), {(1,): 20, (2,): 11}),
+    (7, 1, (3,), {(1,): 30}),
+    (5, 1, (2, 2), {(1, 0): 10, (0, 1): 12, (1, 1): 6}),
+    (5, 1, (4,), {(1,): 9, (2,): 4, (3,): 1}),
+    (3, 2, (4,), {(1,): 40}),
+]
+
+
+@pytest.mark.parametrize(
+    "p,k,r,degrees",
+    COUNTED_PATTERN_SPACES,
+    ids=[
+        "q%d-r%s-%s" % (p**k, r, list(d.values()))
+        for p, k, r, d in COUNTED_PATTERN_SPACES
+    ],
+)
+def test_pattern_histograms_are_exact_past_enumeration(p, k, r, degrees):
+    """The counted pattern histogram holds every cover of the space, and the
+    mean count above each point is exactly 1."""
+    ctx, G = make_field(p, k), GroupSpec(r)
+    dv = normalize_degrees(G, degrees)
+    size = sum(component_sizes(ctx, G, dv).values())
+    for x in (0, 1, INFINITY):
+        hist = space_pattern_histogram(ctx, G, dv, x)
+        assert sum(hist.values()) == size
+        ones = {rep: m for (rep, all_one), m in hist.items() if all_one}
+        assert sum(m * G.size // ram_exponent(G, rep) for rep, m in ones.items()) == size
+
+
+def test_a_dropped_field_is_collected():
+    """No memo of the counting paths keeps a field alive."""
+    G = GroupSpec((2,))
+    dv = normalize_degrees(G, {(1,): 2})
+    runs = [
+        lambda ctx: count_points(ctx, G, hyper(ctx, 1, [1, 0, 1])),
+        lambda ctx: space_count_histogram(ctx, G, dv),
+    ]
+    for run in runs:
+        ctx = make_field(5)
+        run(ctx)
+        dropped = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert dropped() is None
+
+
 def test_report_serializes(f5):
     G = GroupSpec((2,))
     report = count_points(f5, G, hyper(f5, 1, [1, 0, 1]))
@@ -417,7 +469,8 @@ def small_spaces(draw):
 # dropped components and the point at infinity: 504 covers.
 @example((8, (7,), {(1,): 1, (6,): 1}, INFINITY))
 def test_bulk_histograms_match_per_cover_counts(space):
-    """Both bulk histograms against per-cover count_points and eval_at."""
+    """The count and pattern histograms against per-cover count_points and
+    eval_at."""
     q, r, degrees, x = space
     ctx, G = field_of(q), GroupSpec(r)
     dv = normalize_degrees(G, degrees)
@@ -428,7 +481,10 @@ def test_bulk_histograms_match_per_cover_counts(space):
         patterns[(class_of(G, ev.beta).representative, ev.count > 0)] += 1
     assert space_count_histogram(ctx, G, dv) == counts
     assert space_pattern_histogram(ctx, G, dv, x) == patterns
-    # The bulk histograms memoise on point states; their number is bounded
+    # Each point counts |G|/e(beta) for e(beta) of the |G| classes of
+    # leading units, so the mean of #C is exactly q + 1 at every degree.
+    assert sum(n * m for n, m in counts.items()) == (q + 1) * sum(counts.values())
+    # The walk memoises on point states; their number is bounded
     # by the classes g in G at unramified points plus G/<beta> at roots of
     # f_beta, whatever the size of the space.
     states = {
