@@ -35,7 +35,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional
 
 from .errors import (
     BadOrder,
@@ -381,9 +380,7 @@ def _c_parts(G: GroupSpec, q: int) -> dict:
 # -- bulk harnesses -----------------------------------------------------
 
 
-def space_count_histogram(
-    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, budget: Optional[int] = None
-) -> Counter:
+def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Counter:
     """Histogram of #C(P^1(F_q)) over the full space, as count_points on
     every enumerated tuple would give it.  The c-block runs over the |G|
     classes of leading units, each weighted (q-1)^n/|G|.  A state's counts
@@ -397,7 +394,7 @@ def space_count_histogram(
             key_tables[d] = _key_table(ctx, G.exponent, d)
         return key_tables[d][code * q : code * q + q]
 
-    tuples = space_tuples(ctx, G, dv, budget, key_row)
+    tuples = space_tuples(ctx, G, dv, key_row)
     classes = list(_c_parts(G, q).values())
     table, supports = _exponent_table(G, alphas), _supports(G)
     bits = (G.size * (q + 1)).bit_length()

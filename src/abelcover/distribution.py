@@ -81,11 +81,6 @@ class Pmf:
         width = _slot_width(den)
         return _unpack(_pack(self.weights, g, width) ** k, g, width, den)
 
-    def csv_rows(self) -> list[tuple]:
-        return [
-            (v, p.numerator, p.denominator, float(p)) for v, p in self.probs
-        ]
-
     def to_json(self) -> str:
         return json.dumps(
             {str(v): [p.numerator, p.denominator] for v, p in self.probs}

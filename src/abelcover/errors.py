@@ -54,11 +54,10 @@ class NegativeGenus(AbelCoverError):
 
 
 class BudgetExceeded(AbelCoverError):
-    def __init__(self, size, budget, exact):
-        super().__init__(f"space size {exact}: bound {size} exceeds budget {budget}")
+    def __init__(self, size, budget):
+        super().__init__(f"space size {size} exceeds budget {budget}")
         self.size = size
         self.budget = budget
-        self.exact = exact
 
 
 class RejectionStall(AbelCoverError):

@@ -9,7 +9,8 @@ encoding is deterministic.  It is found, and the tables are built, with the
 polyring arithmetic over the prime field F_p: a `Polynomial` product mod the
 modulus, and trial division by `is_irreducible`.  For k > 1, addition and
 negation read Zech logarithm and negation tables; digits are decoded only
-while building.
+while building.  Tables are built only for q <= TABLE_BUDGET = 2^16; a
+larger q raises TooLarge.
 
 All characters are powers of one fixed character of order q-1 attached to the
 stored generator: chi_m(g^k) = zeta_m^(k mod m).  This makes the family
@@ -91,14 +92,14 @@ class FieldCtx:
     construction.
     """
 
-    def __init__(self, p: int, k: int, budget: int = TABLE_BUDGET):
+    def __init__(self, p: int, k: int):
         if prime_factors(p) != [p]:
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise TooLarge(f"k must be positive, got {k}")
         q = p**k
-        if q > budget:
-            raise TooLarge(f"q = {q} exceeds table budget {budget}")
+        if q > TABLE_BUDGET:
+            raise TooLarge(f"q = {q} exceeds table budget {TABLE_BUDGET}")
         self.p = p
         self.k = k
         self.q = q
@@ -222,11 +223,11 @@ class FieldCtx:
         return f"FieldCtx(q={self.q}, generator={self.generator})"
 
 
-def make_field(p: int, k: int = 1, budget: int = TABLE_BUDGET) -> FieldCtx:
-    """Build F_{p^k} with a verified generator and full dlog table."""
+def make_field(p: int, k: int = 1) -> FieldCtx:
+    """Build F_{p^k}, p^k <= TABLE_BUDGET, with a verified generator and dlog table."""
     if k < 1:
         raise TooLarge(f"k must be positive, got {k}")
-    return FieldCtx(p, k, budget)
+    return FieldCtx(p, k)
 
 
 def character(ctx: FieldCtx, m: int, a: int) -> CharValue:

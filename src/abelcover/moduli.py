@@ -241,14 +241,6 @@ def make_cover_tuple(c, polys: Mapping, tag=None) -> CoverTuple:
     )
 
 
-def space_size_bound(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> int:
-    """Cheap upper bound on |space|, used for budget gating."""
-    units = (ctx.q - 1) ** G.n
-    return units * sum(
-        ctx.q ** sum(degmap.values()) for _, degmap in component_degree_maps(G, dv)
-    )
-
-
 def component_sizes(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> dict:
     """Exact component cardinalities (leading coefficients included):
     (q-1)^n times the number of coprime tuples of each component, counted
@@ -261,22 +253,22 @@ def component_sizes(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> dict:
 
 
 def space_tuples(
-    ctx: FieldCtx,
-    G: GroupSpec,
-    dv: DegreeVector,
-    budget: Optional[int] = None,
-    make: Optional[Callable] = None,
+    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, make: Optional[Callable] = None
 ) -> Iterator[tuple[Optional[tuple[int, ...]], dict]]:
     """(tag, {alpha: f_alpha}) for every polynomial tuple of the space, plain
     component first, then the dropped components in beta order, each f_alpha
-    built by make as in enumerate_coprime_tuples.  The budget is checked on
-    the call, the components are walked lazily."""
-    if budget is None:
-        budget = int(os.environ.get("ABCOVER_BUDGET", DEFAULT_BUDGET))
-    bound = space_size_bound(ctx, G, dv)
-    if bound > budget:
-        exact = sum(component_sizes(ctx, G, dv).values())
-        raise BudgetExceeded(bound, budget, exact)
+    built by make as in enumerate_coprime_tuples.  On the call, the exact
+    number of covers (component_sizes) is checked against the environment
+    variable ABCOVER_BUDGET, default DEFAULT_BUDGET; the components are
+    walked lazily."""
+    raw = os.environ.get("ABCOVER_BUDGET", DEFAULT_BUDGET)
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(f"ABCOVER_BUDGET must be an integer, not {raw!r}") from None
+    size = sum(component_sizes(ctx, G, dv).values())
+    if size > budget:
+        raise BudgetExceeded(size, budget)
     return (
         (tag, polys)
         for tag, degmap in component_degree_maps(G, dv)
@@ -285,15 +277,12 @@ def space_tuples(
 
 
 def enumerate_space(
-    ctx: FieldCtx,
-    G: GroupSpec,
-    dv: DegreeVector,
-    budget: Optional[int] = None,
+    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector
 ) -> Iterator[CoverTuple]:
     """Every (c, (f_alpha)) of the space exactly once, in space_tuples order
     with the leading coefficients innermost."""
     units = list(range(1, ctx.q))
-    for tag, polys in space_tuples(ctx, G, dv, budget):
+    for tag, polys in space_tuples(ctx, G, dv):
         f = tuple(sorted(polys.items()))
         for c in itertools.product(units, repeat=G.n):
             yield CoverTuple(c, f, tag)

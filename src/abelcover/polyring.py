@@ -117,25 +117,8 @@ class Polynomial:
         F = self.ctx
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        if dq < 0:
-            return Polynomial.zero(F), self
-        quo = [0] * (dq + 1)
-        lead_inv = F.inv(other.coeffs[-1])
-        for i in range(len(rem) - 1, other.degree - 1, -1):
-            c = rem[i]
-            if c:
-                factor = F.mul(c, lead_inv)
-                quo[i - other.degree] = factor
-                for j, b in enumerate(other.coeffs):
-                    rem[i - other.degree + j] = F.sub(
-                        rem[i - other.degree + j], F.mul(factor, b)
-                    )
-        return Polynomial(F, quo), Polynomial(F, rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
+        quo, rem = _divide(F, self.coeffs, other.coeffs)
+        return Polynomial(F, [F.neg(c) for c in reversed(quo)]), Polynomial(F, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
@@ -170,22 +153,24 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _remainder(ctx: FieldCtx, a: list, b: list) -> list:
-    """a mod b on coefficient lists, low first; b has a nonzero leading
-    coefficient, and the remainder comes back with trailing zeros stripped."""
+def _divide(ctx: FieldCtx, a, b) -> tuple[list, list]:
+    """Long division of a by b on coefficient lists, low first; b has a
+    nonzero leading coefficient.  Returns the quotient negated, top
+    coefficient first, and the remainder with trailing zeros stripped."""
     add, mul = ctx.add, ctx.mul
-    rem = list(a)
+    rem, quo = list(a), []
     db = len(b) - 1
     low, scale = b[:-1], ctx.neg(ctx.inv(b[-1]))
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem.pop()  # cancelled by subtracting c / b[-1] times b
-        if c:
-            factor = mul(c, scale)
+        c = rem.pop()  # cancelled by adding factor = -c / b[-1] times b
+        factor = c and mul(c, scale)
+        quo.append(factor)
+        if factor:
             for j in range(db):
                 rem[i - db + j] = add(rem[i - db + j], mul(factor, low[j]))
     while rem and not rem[-1]:
         rem.pop()
-    return rem
+    return quo, rem
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -194,7 +179,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     ctx = f.ctx
     a, b = f.coeffs, g.coeffs
     while b:
-        a, b = b, _remainder(ctx, a, b)
+        a, b = b, _divide(ctx, a, b)[1]
     return Polynomial(ctx, a).monic()
 
 

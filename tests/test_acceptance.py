@@ -3,7 +3,7 @@
 Each test is the stated check at the stated tolerance; the -v report line
 of each test doubles as its pass/fail line.  The heavy full enumerations
 (degree 8 over F_5 is 1.5 million covers) are shared through module-scope
-fixtures, so this file takes a few minutes.
+fixtures, so this file takes seconds, not minutes.
 """
 
 import time
@@ -99,7 +99,7 @@ def ladder_histograms(f5):
     out = {}
     for d in LADDER:
         dv = normalize_degrees(G, {(1,): d})
-        out[d] = space_count_histogram(f5, G, dv, budget=10_000_000)
+        out[d] = space_count_histogram(f5, G, dv)
     return out
 
 

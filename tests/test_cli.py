@@ -131,6 +131,23 @@ def test_distribution_csv(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize(
+    "budget,code,message",
+    [
+        ("2400", 0, ""),
+        ("2399", 2, "error: space size 2400 exceeds budget 2399\n"),
+        ("1e7", 2, "error: ABCOVER_BUDGET must be an integer, not '1e7'\n"),
+    ],
+)
+def test_distribution_budget(capsys, monkeypatch, budget, code, message):
+    """ABCOVER_BUDGET caps the exact number of covers walked, 2,400 here."""
+    monkeypatch.setenv("ABCOVER_BUDGET", budget)
+    got, _, err = run(
+        capsys, "distribution", "--p", "5", "--r", "2", "--degrees", '{"1": 4}'
+    )
+    assert (got, err) == (code, message)
+
+
 def test_distribution_ladder(capsys):
     code, out, _ = run(
         capsys,

@@ -26,6 +26,7 @@ from abelcover.counting import (
 )
 from abelcover.errors import (
     BadOrder,
+    BudgetExceeded,
     DimensionMismatch,
     InternalInconsistency,
     MultipleVanishing,
@@ -48,7 +49,6 @@ from abelcover.moduli import (
     make_cover_tuple,
     normalize_degrees,
     sample_space,
-    space_size_bound,
     space_tuples,
 )
 from abelcover.numtheory import divisors
@@ -211,6 +211,20 @@ def test_bulk_histogram_matches_per_cover_counts(f5):
         for cover in enumerate_space(f5, G, dv)
     )
     assert space_count_histogram(f5, G, dv) == slow
+
+
+def test_walk_gate_is_the_exact_size(f5, monkeypatch):
+    """Z/2 over F_5 at d = 4 has exactly 2,400 covers: a budget of 2,400
+    walks the space and one of 2,399 refuses it."""
+    G = GroupSpec((2,))
+    dv = normalize_degrees(G, {(1,): 4})
+    monkeypatch.setenv("ABCOVER_BUDGET", "2400")
+    assert sum(space_count_histogram(f5, G, dv).values()) == 2400
+    monkeypatch.setenv("ABCOVER_BUDGET", "2399")
+    with pytest.raises(BudgetExceeded) as info:
+        space_count_histogram(f5, G, dv)
+    assert (info.value.size, info.value.budget) == (2400, 2399)
+    assert str(info.value) == "space size 2400 exceeds budget 2399"
 
 
 def test_bulk_histogram_multifactor(f5):
@@ -412,10 +426,11 @@ def assert_literal_patterns(ctx, G, t):
 
 
 def test_memos_keep_fields_and_components_apart():
-    """count_points memoises the c-part per (field, group, c) and the state
-    at infinity per (group, alphas, degrees).  Interleave, in one process,
-    the same unit vectors c over F_5 and F_9 and covers of the plain and
-    the dropped components of one space: every pattern stays literal."""
+    """count_points memoises the c-part per (group, q), over the classes of
+    leading units, and the state at infinity per (group, alphas, degrees).
+    Interleave, in one process, the same unit vectors c over F_5 and F_9
+    and covers of the plain and the dropped components of one space: every
+    pattern stays literal."""
     G = GroupSpec((4,))
     fields = [make_field(5), make_field(3, 2)]
     dv = normalize_degrees(G, {(1,): 1, (2,): 2, (3,): 1})
@@ -450,7 +465,8 @@ def small_spaces(draw):
     # Raising the degree of the j-th unit vector moves d_j alone.
     for j, (dj, rj) in enumerate(zip(d_vec(G, degrees), r)):
         degrees[tuple(int(i == j) for i in range(G.n))] += -dj % rj
-    assume(space_size_bound(field_of(q), G, normalize_degrees(G, degrees)) <= 3000)
+    dv = normalize_degrees(G, degrees)
+    assume(sum(component_sizes(field_of(q), G, dv).values()) <= 3000)
     x = draw(st.sampled_from([*range(q), INFINITY]))
     return q, r, degrees, x
 

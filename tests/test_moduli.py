@@ -32,7 +32,6 @@ from abelcover.moduli import (
     make_cover_tuple,
     normalize_degrees,
     sample_space,
-    space_size_bound,
 )
 from abelcover.polyring import Polynomial, enumerate_coprime_tuples, enumerate_monic
 
@@ -178,7 +177,8 @@ def enumerable_spaces(draw):
     # Raising the degree of the j-th unit vector moves d_j alone.
     for j, (dj, rj) in enumerate(zip(d_vec(G, degrees), r)):
         degrees[tuple(int(i == j) for i in range(G.n))] += -dj % rj
-    assume(space_size_bound(field_of(q), G, normalize_degrees(G, degrees)) <= 20_000)
+    dv = normalize_degrees(G, degrees)
+    assume(sum(component_sizes(field_of(q), G, dv).values()) <= 20_000)
     return q, r, degrees
 
 
@@ -210,25 +210,25 @@ def test_component_sizes_closed_form_at_degree_20(f5):
     }
 
 
-def test_budget_gate(f5):
+def test_budget_gate(f5, monkeypatch):
+    monkeypatch.setenv("ABCOVER_BUDGET", "1000")
     G = GroupSpec((2,))
     dv = normalize_degrees(G, {(1,): 8})
-    assert space_size_bound(f5, G, dv) > 1000
+    assert sum(component_sizes(f5, G, dv).values()) > 1000
     with pytest.raises(BudgetExceeded):
-        list(enumerate_space(f5, G, dv, budget=1000))
+        list(enumerate_space(f5, G, dv))
 
 
-def test_budget_message_names_bound_budget_and_exact_size(f5):
+def test_budget_message_names_exact_size_and_budget(f5, monkeypatch):
+    monkeypatch.setenv("ABCOVER_BUDGET", "1000")
     G = GroupSpec((2,))
     dv = normalize_degrees(G, {(1,): 8})
-    bound = space_size_bound(f5, G, dv)
     exact = sum(component_sizes(f5, G, dv).values())
-    assert exact < bound
     with pytest.raises(BudgetExceeded) as info:
-        list(enumerate_space(f5, G, dv, budget=1000))
+        list(enumerate_space(f5, G, dv))
     error = info.value
-    assert (error.size, error.budget, error.exact) == (bound, 1000, exact)
-    assert str(error) == "space size %d: bound %d exceeds budget 1000" % (exact, bound)
+    assert (error.size, error.budget) == (exact, 1000)
+    assert str(error) == "space size %d exceeds budget 1000" % exact
 
 
 def test_budget_env_override(f5, monkeypatch):

@@ -45,6 +45,10 @@ def rand_poly(ctx, data, max_deg=5):
     return Polynomial(ctx, coeffs)
 
 
+# Prime fields and the Zech-log extensions F_4 and F_9.
+GCD_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
+
 def test_trailing_zeros_stripped(f5):
     assert Polynomial(f5, [1, 2, 0, 0]) == Polynomial(f5, [1, 2])
     assert Polynomial(f5, [0, 0]).is_zero
@@ -59,10 +63,13 @@ def test_constructors(f5):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_division_algorithm(f5, data):
-    f = rand_poly(f5, data)
-    g = rand_poly(f5, data)
+@given(st.sampled_from(sorted(GCD_FIELDS)), st.data())
+def test_division_algorithm(q, data):
+    """divmod, and so poly_gcd's division, against the definition of
+    division: quo * g + rem == f with deg rem < deg g."""
+    ctx = make_field(*GCD_FIELDS[q])
+    f = rand_poly(ctx, data)
+    g = rand_poly(ctx, data)
     if g.is_zero:
         with pytest.raises(ZeroPolynomial):
             divmod(f, g)
@@ -101,9 +108,6 @@ def test_gcd_and_squarefree(f5):
     assert poly_gcd(f * f * g, f * g) == f * g
     assert is_squarefree(f * g)
     assert not is_squarefree(f * f * g)
-
-
-GCD_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
 
 
 def literal_gcd(f, g):
