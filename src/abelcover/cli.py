@@ -192,6 +192,8 @@ def cmd_distribution(args, config):
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be enumerate or sample, not %r" % (mode,))
     draws = _int(_pick(args, config, "draws", 2000), "--draws")
+    if draws < 1:
+        raise ValueError("--draws must be at least 1, not %d" % draws)
     seed = _int(_pick(args, config, "seed", 0), "--seed")
     ladder = _pick(args, config, "ladder")
     out_path = _pick(args, config, "out")

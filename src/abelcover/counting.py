@@ -15,18 +15,22 @@ root-of-unity sum, and a brute-force y-search oracle confirms it at
 unramified points.
 
 Inside this module a pair is its position in enumerate_index_pairs(G);
-IndexPair keys appear only in a PointEvaluation's pattern.  The key of f at
-x is 0 where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every
-ell.  The key -> state rule (_point_state) maps the key vector of the
-f_alpha at x to the point state (beta_x, {position: exponent or None}): the
-vanishing alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a
-factor vanishes, e_alpha = pair_weight(pair, alpha).  The one count rule,
-_count_above, adds the c-part pair_weight(pair, dlog c), memoised per
-class (dlog c_j mod r_j)_j, to a state and applies the dichotomy.
-count_points (and eval_at) find the keys by Horner evaluation and dlog.  The
-one walk, space_count_histogram, takes each coordinate from the coprime
-walk as its row of a per-degree key table and counts once per key vector
-and class of leading units.  space_pattern_histogram is counted, not walked.
+IndexPair keys appear only in a PointEvaluation's pattern, which is built
+on first read.  The key of f at x is 0 where f(x) = 0, else
+1 + dlog f(x) mod exp(G), a multiple of every ell.  The key -> state rule
+(_point_state) maps the key vector of the f_alpha at x to the point state
+(beta_x, {position: exponent or None}): the vanishing alpha, and
+sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor vanishes,
+e_alpha = pair_weight(pair, alpha).  The one count rule, _count_above, adds
+the c-part pair_weight(pair, dlog c) of the class (dlog c_j mod r_j)_j of
+the leading units to a state and applies the dichotomy.  What these rules
+need of a group and its alphas is held in one memo (_plan), keyed by plain
+tuples and holding no field.  count_points (and eval_at) find the keys from
+the values of each f_alpha at every x (FieldCtx.values) and their dlogs.
+The one walk, space_count_histogram, takes each coordinate from the
+coprime walk as its row of a per-degree key table and counts once per key
+vector and class of leading units.  space_pattern_histogram is counted,
+not walked.
 """
 
 from __future__ import annotations
@@ -67,12 +71,34 @@ class DerivedPolynomial:
     poly: Polynomial  # the monic product, constant excluded
 
 
-@dataclass
 class PointEvaluation:
-    x: object  # int in F_q, or INFINITY
-    beta: tuple[int, ...]
-    pattern: dict  # IndexPair -> CharValue
-    count: int
+    """The cover above one point x (an int in F_q, or INFINITY): the
+    vanishing class beta, the value pattern {IndexPair: CharValue} and the
+    count.  pattern may be given as a function of no arguments that returns
+    it; it is then built on first read."""
+
+    __slots__ = ("x", "beta", "_pattern", "count")
+    __hash__ = None
+
+    def __init__(self, x, beta: tuple[int, ...], pattern, count: int):
+        self.x, self.beta, self._pattern, self.count = x, beta, pattern, count
+
+    @property
+    def pattern(self) -> dict:
+        if not isinstance(self._pattern, dict):
+            self._pattern = self._pattern()
+        return self._pattern
+
+    def _fields(self) -> tuple:
+        return self.x, self.beta, self.pattern, self.count
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointEvaluation):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "PointEvaluation(x=%r, beta=%r, pattern=%r, count=%r)" % self._fields()
 
 
 @dataclass
@@ -167,7 +193,6 @@ def _cyclotomic_consistent(values, count: int, r_n: int) -> bool:
     return not any(_divmod_z(vec, _cyclotomic_poly(r_n))[1])
 
 
-@lru_cache(maxsize=None)
 def _supports(G: GroupSpec) -> dict:
     """{beta: (A_beta as (position, ell) entries, one flag per position)}
     for every beta; a flag is True where the pair is not in A_beta, i.e.
@@ -213,32 +238,46 @@ def count_points(
     """Point count over every x in P^1(F_q) plus the total and Tr(Frob_q).
     Raises InternalInconsistency where the zero support of a pattern is not
     the complement of A_beta or, with check=True, where the exact cyclotomic
-    sum of the pattern values disagrees with the A_beta dichotomy."""
-    c_part = _c_parts(G, ctx.q)[tuple(ctx.dlog(c) % r for c, r in zip(t.c, G.r))]
+    sum of the pattern values disagrees with the A_beta dichotomy.  Each
+    point's pattern is built on first read; with check=True its values are
+    computed at once, for the cyclotomic sum."""
+    _check_order(G, ctx.q)
     polys = t.polys()
-    pairs = enumerate_index_pairs(G)
-    rows = [(ell, _char_values(ell)) for ell, _ in _exponent_table(G, tuple(polys))]
-    supports = _supports(G)
+    plan = _plan(G.r, tuple(polys))
+    c_part = plan.c_parts[tuple(map(int.__mod__, map(ctx.dlog, t.c), G.r))]
     data = _component_point_data(ctx, G, polys)
     points = []
     for x, (beta, exps) in zip([*range(ctx.q), INFINITY], data):
-        surviving, vanishing = supports[beta]
+        surviving, vanishing = plan.supports[beta]
         if tuple(a is None for a in exps.values()) != vanishing:
             raise InternalInconsistency(
                 f"vanishing pattern at x={x} is not [beta]-admissible"
             )
-        values = [
-            chi[0] if a is None else chi[1 + (a + c) % ell]
-            for a, c, (ell, chi) in zip(exps.values(), c_part, rows)
-        ]
         count = _count_above(surviving, exps, c_part)
-        if check and not _cyclotomic_consistent(values, count, G.exponent):
-            raise InternalInconsistency(
-                f"cyclotomic sum disagrees with dichotomy count at x={x}"
-            )
-        points.append(PointEvaluation(x, beta, dict(zip(pairs, values)), count))
+        if check:
+            values = _values(plan, exps, c_part)
+            if not _cyclotomic_consistent(values, count, G.exponent):
+                raise InternalInconsistency(
+                    f"cyclotomic sum disagrees with dichotomy count at x={x}"
+                )
+        pattern = partial(_pattern, plan, exps, c_part)
+        points.append(PointEvaluation(x, beta, pattern, count))
     total = sum(pt.count for pt in points)
     return PointCountReport(points, total, ctx.q + 1 - total)
+
+
+def _values(plan: _Plan, exps: dict, c_part: tuple) -> list:
+    """The CharValue of every pair position at a point with exponents exps
+    (None where the value is 0) and the c-part c_part."""
+    return [
+        chi[0] if a is None else chi[1 + (a + c) % ell]
+        for a, c, (ell, chi) in zip(exps.values(), c_part, plan.rows)
+    ]
+
+
+def _pattern(plan: _Plan, exps: dict, c_part: tuple) -> dict:
+    """A point's pattern {IndexPair: CharValue}."""
+    return dict(zip(plan.pairs, _values(plan, exps, c_part)))
 
 
 def oracle_count(ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x: int) -> int:
@@ -265,7 +304,6 @@ def _point_index(ctx: FieldCtx, x) -> int:
     return x
 
 
-@lru_cache(maxsize=None)
 def _exponent_table(G: GroupSpec, alphas: tuple) -> tuple:
     """(ell, ((i, e_alpha) for every e_alpha != 0)) per pair position, i
     the position of alpha in alphas (which must hold every nonzero alpha)."""
@@ -330,31 +368,20 @@ def _point_state(G: GroupSpec, table: tuple, alphas: tuple, keys: tuple, x) -> t
 def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
     """The point states (_point_state) at 0, ..., q-1, then the state at
     INFINITY (_infinity_state), without the c-part, for one cover: the keys
-    come by Horner evaluation and dlog.  polys is keyed by every nonzero
-    alpha."""
+    come from the values of each f_alpha at every x (FieldCtx.values) and
+    their dlogs.  polys is keyed by every nonzero alpha."""
     alphas, E = tuple(polys), G.exponent
-    table, memo = _exponent_table(G, alphas), {}
-    add, mul, dlog = ctx.add, ctx.mul, ctx.dlog
-    keys, degrees = [], []
-    for f in polys.values():
-        lead, *rest = f.coeffs[::-1] or (0,)  # Horner, from the top
-        degrees.append(len(rest))
-        row = []
-        for x in range(ctx.q):
-            v = lead
-            for c in rest:
-                v = add(mul(v, x), c)
-            row.append(1 + dlog(v) % E if v else 0)
-        keys.append(row)
+    plan, memo = _plan(G.r, alphas), {}
+    key = [0, *(1 + ctx.dlog(v) % E for v in range(1, ctx.q))]
+    keys = [list(map(key.__getitem__, ctx.values(f.coeffs))) for f in polys.values()]
     data = [
-        memo.get(k) or memo.setdefault(k, _point_state(G, table, alphas, k, x))
+        memo.get(k) or memo.setdefault(k, _point_state(G, plan.table, alphas, k, x))
         for x, k in enumerate(zip(*keys))
     ]
-    data.append(_infinity_state(G, alphas, tuple(degrees)))
+    data.append(plan.infinity_state(tuple(max(f.degree, 0) for f in polys.values())))
     return data
 
 
-@lru_cache(maxsize=None)
 def _infinity_state(G: GroupSpec, alphas: tuple, degrees: tuple) -> tuple:
     """The point state at infinity where f_(alphas[i]) has degree degrees[i]:
     beta = -d_vec, the exponent 0, or None where pair_weight(pair, d_vec) != 0."""
@@ -364,17 +391,54 @@ def _infinity_state(G: GroupSpec, alphas: tuple, degrees: tuple) -> tuple:
     return beta, {i: None if pair_weight(pair, d) else 0 for i, pair in enumerate(pairs)}
 
 
-@lru_cache(maxsize=None)
-def _c_parts(G: GroupSpec, q: int) -> dict:
-    """{class (dlog c_j mod r_j)_j: dlog c_(s)^(omega) mod ell per pair
-    position} over the |G| classes of leading units c (s_j | r_j, so only
-    the class of c matters).  Keyed by q, so it holds no field.  Every
-    counting path calls this before it counts: it rejects a group whose
-    exponent does not divide q-1 (no characters of that order exist)."""
+def _check_order(G: GroupSpec, q: int) -> None:
+    """Every counting path calls this before it counts: it rejects a group
+    whose exponent does not divide q-1 (no characters of that order exist)."""
     if (q - 1) % G.exponent:
         raise BadOrder(f"exp(G) = {G.exponent} does not divide q-1 = {q - 1}")
+
+
+def _c_parts(G: GroupSpec) -> dict:
+    """{class (dlog c_j mod r_j)_j: dlog c_(s)^(omega) mod ell per pair
+    position} over the |G| classes of leading units c (s_j | r_j, so only
+    the class of c matters)."""
     pairs, classes = enumerate_index_pairs(G), itertools.product(*map(range, G.r))
     return {a: tuple(pair_weight(pair, a) for pair in pairs) for a in classes}
+
+
+class _Plan:
+    """What counting needs of a group G and an order alphas of its nonzero
+    alphas, besides the field: the index pairs; per position the order ell
+    and its character values (rows); the exponent table; the supports; the
+    c-part of each class of leading units; and the states at infinity,
+    built per degrees on first use."""
+
+    __slots__ = (
+        "G", "alphas", "pairs", "rows", "table", "supports", "c_parts", "_infinity"
+    )
+
+    def __init__(self, G: GroupSpec, alphas: tuple):
+        self.G, self.alphas = G, alphas
+        self.pairs = enumerate_index_pairs(G)
+        self.table = _exponent_table(G, alphas)
+        self.rows = [(ell, _char_values(ell)) for ell, _ in self.table]
+        self.supports = _supports(G)
+        self.c_parts = _c_parts(G)
+        self._infinity: dict = {}
+
+    def infinity_state(self, degrees: tuple) -> tuple:
+        """_infinity_state where f_(alphas[i]) has degree degrees[i]."""
+        if degrees not in self._infinity:
+            self._infinity[degrees] = _infinity_state(self.G, self.alphas, degrees)
+        return self._infinity[degrees]
+
+
+@lru_cache(maxsize=None)
+def _plan(r: tuple, alphas: tuple) -> _Plan:
+    """The _Plan of GroupSpec(r) and alphas.  The one memo of the counting
+    paths, keyed by plain tuples (a GroupSpec hashes in Python) and holding
+    no field."""
+    return _Plan(GroupSpec(r), alphas)
 
 
 # -- bulk harnesses -----------------------------------------------------
@@ -395,8 +459,9 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
         return key_tables[d][code * q : code * q + q]
 
     tuples = space_tuples(ctx, G, dv, key_row)
-    classes = list(_c_parts(G, q).values())
-    table, supports = _exponent_table(G, alphas), _supports(G)
+    _check_order(G, q)
+    plan = _plan(G.r, alphas)
+    classes, table, supports = list(plan.c_parts.values()), plan.table, plan.supports
     bits = (G.size * (q + 1)).bit_length()
     rows: dict = {}
 
@@ -414,7 +479,7 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
 
     tally = Counter((tag, finite(p.values())) for tag, p in tuples)
     infinity = {
-        tag: pack(_infinity_state(G, alphas, tuple(map(degmap.get, alphas))))
+        tag: pack(plan.infinity_state(tuple(map(degmap.get, alphas))))
         for tag, degmap in component_degree_maps(G, dv)
     }
     weight, out = (q - 1) ** G.n // G.size, Counter()
@@ -433,7 +498,7 @@ def space_pattern_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, x) ->
     one.  At infinity a component's covers all have beta = -d_vec, its tag."""
     q, zero, hist = ctx.q, (0,) * G.n, Counter()
     finite, units = _point_index(ctx, x) < q, (q - 1) ** G.n
-    _c_parts(G, q)  # rejects exp(G) not dividing q-1
+    _check_order(G, q)
     for tag, degmap in component_degree_maps(G, dv):
         if not finite:
             vanishing = [(tag or zero, count_coprime_tuples(q, degmap.values()))]

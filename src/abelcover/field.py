@@ -9,7 +9,10 @@ encoding is deterministic.  It is found, and the tables are built, with the
 polyring arithmetic over the prime field F_p: a `Polynomial` product mod the
 modulus, and trial division by `is_irreducible`.  For k > 1, addition and
 negation read Zech logarithm and negation tables; digits are decoded only
-while building.  Tables are built only for q <= TABLE_BUDGET = 2^16; a
+while building.  Two bulk operations do a row of work in one call:
+add_scaled (acc += a * row, the step of long division) and values (f(x) at
+every x), with integer arithmetic mod p for k = 1 and the same tables for
+k > 1.  Tables are built only for q <= TABLE_BUDGET = 2^16; a
 larger q raises TooLarge.
 
 All characters are powers of one fixed character of order q-1 attached to the
@@ -185,6 +188,56 @@ class FieldCtx:
         la, n = self._dlog[a], self.q - 1
         z = self._zech[(self._dlog[b] - la) % n]
         return 0 if z is None else self._exp[(la + z) % n]
+
+    def add_scaled(self, acc: list, start: int, a: int, row) -> None:
+        """acc[start + j] += a * row[j] for every j, in place: one call per
+        row instead of one add and one mul per entry."""
+        if not a:
+            return
+        if self.k == 1:
+            p = self.p
+            for j, v in enumerate(row, start):
+                acc[j] = (acc[j] + a * v) % p
+            return
+        exp, dlog, zech, n = self._exp, self._dlog, self._zech, self.q - 1
+        la = dlog[a]
+        for j, v in enumerate(row, start):
+            if v:  # acc[j] + g^m = g^m (1 + g^(dlog acc[j] - m))
+                m, u = la + dlog[v], acc[j]
+                if u:
+                    z = zech[(dlog[u] - m) % n]
+                    acc[j] = 0 if z is None else exp[(m + z) % n]
+                else:
+                    acc[j] = exp[m % n]
+
+    def values(self, coeffs) -> list[int]:
+        """f(x) for x = 0, 1, ..., q-1, f the polynomial with coefficients
+        coeffs (low first), by Horner at each x."""
+        top, q = coeffs[::-1], self.q
+        if self.k == 1:
+            p, out = self.p, []
+            for x in range(q):
+                v = 0
+                for c in top:
+                    v = (v * x + c) % p
+                out.append(v)
+            return out
+        # Horner on dlogs: lv is dlog of the value so far, None for 0.
+        exp, dlog, zech, n = self._exp, self._dlog, self._zech, q - 1
+        logs = [dlog[c] for c in top]
+        out = [coeffs[0] if coeffs else 0]
+        for lx in dlog[1:]:
+            lv = None
+            for lc in logs:
+                if lv is None:
+                    lv = lc
+                    continue
+                lv += lx
+                if lc is not None:
+                    z = zech[(lc - lv) % n]
+                    lv = None if z is None else lv + z
+            out.append(0 if lv is None else exp[lv % n])
+        return out
 
     def neg(self, a: int) -> int:
         if self.k == 1:

@@ -319,8 +319,11 @@ def sample_space(
 
     Components are weighted by their exact sizes; polynomials are then
     rejection-sampled until squarefree and pairwise coprime, at most
-    STALL_LIMIT times per draw.  The draws are exactly uniform.
+    STALL_LIMIT times per draw.  The draws are exactly uniform.  A negative
+    count raises ValueError, as an empty space does, on the first draw.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, not {count}")
     rng = random.Random(seed)
     sizes = component_sizes(ctx, G, dv)
     tags = sorted(sizes, key=lambda t: (t is not None, t))

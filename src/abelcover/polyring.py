@@ -156,8 +156,9 @@ class Polynomial:
 def _divide(ctx: FieldCtx, a, b) -> tuple[list, list]:
     """Long division of a by b on coefficient lists, low first; b has a
     nonzero leading coefficient.  Returns the quotient negated, top
-    coefficient first, and the remainder with trailing zeros stripped."""
-    add, mul = ctx.add, ctx.mul
+    coefficient first, and the remainder with trailing zeros stripped.
+    Each quotient digit costs one add_scaled row update."""
+    mul, add_scaled = ctx.mul, ctx.add_scaled
     rem, quo = list(a), []
     db = len(b) - 1
     low, scale = b[:-1], ctx.neg(ctx.inv(b[-1]))
@@ -165,20 +166,21 @@ def _divide(ctx: FieldCtx, a, b) -> tuple[list, list]:
         c = rem.pop()  # cancelled by adding factor = -c / b[-1] times b
         factor = c and mul(c, scale)
         quo.append(factor)
-        if factor:
-            for j in range(db):
-                rem[i - db + j] = add(rem[i - db + j], mul(factor, low[j]))
+        add_scaled(rem, i - db, factor, low)
     while rem and not rem[-1]:
         rem.pop()
     return quo, rem
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd; gcd(0, 0) = 0.  Euclid runs on the coefficient lists."""
+    """Monic gcd; gcd(0, 0) = 0.  Euclid runs on the coefficient lists and
+    stops at a nonzero constant remainder, where the gcd is 1."""
     f._check(g)
     ctx = f.ctx
     a, b = f.coeffs, g.coeffs
     while b:
+        if len(b) == 1:
+            return Polynomial.one(ctx)
         a, b = b, _divide(ctx, a, b)[1]
     return Polynomial(ctx, a).monic()
 

@@ -259,6 +259,18 @@ def test_config_file_numbers_must_be_integers(tmp_path, capsys, name, value):
     assert "--%s must be" % name in err
 
 
+@pytest.mark.parametrize("draws", [0, -3])
+def test_draws_must_be_positive(tmp_path, capsys, draws):
+    message = "error: --draws must be at least 1, not %d\n" % draws
+    flags = ["--p", "5", "--r", "2", "--degrees", '{"1": 4}', "--mode", "sample"]
+    code, out, err = run(capsys, "distribution", *flags, "--draws", str(draws))
+    assert (code, out, err) == (2, "", message)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "draws": draws}))
+    code, out, err = run(capsys, "--config", str(cfg), "distribution")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": "2", "degrees": {"1": 6}}))

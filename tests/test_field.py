@@ -1,10 +1,12 @@
 """Tests for table-backed finite fields and coherent characters."""
 
 import hashlib
+import itertools
 import os
 import pkgutil
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ import abelcover
 from abelcover.errors import BadOrder, NotPrime, TooLarge
 from abelcover.field import CharValue, character, make_field
 from abelcover.numtheory import prime_factors
+from abelcover.polyring import Polynomial
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 
@@ -198,6 +201,75 @@ def stepped_tables(ctx):
 def test_tables_match_raw_mul_stepping(p, k):
     ctx = make_field(p, k)
     assert (ctx._exp, ctx._dlog, ctx._zech, ctx._neg) == stepped_tables(ctx)
+
+
+# F_2, F_3, F_4, F_5, F_8, F_9, F_25, F_27 and F_65521.
+KERNEL_FIELDS = [
+    (2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3), (65521, 1)
+]
+
+
+@lru_cache(maxsize=None)
+def field(p, k):
+    return make_field(p, k)
+
+
+def elements(ctx):
+    """Field elements, zero drawn often even where q is large."""
+    return st.one_of(st.just(0), st.integers(min_value=0, max_value=ctx.q - 1))
+
+
+@pytest.mark.parametrize("p,k", [pk for pk in KERNEL_FIELDS if pk[0] ** pk[1] <= 27])
+def test_add_scaled_matches_scalar_arithmetic_exhaustively(p, k):
+    """Every u + a*v by add_scaled on a one-entry row, zero scales and every
+    sum that cancels (1 + g^i = 0) included."""
+    ctx = field(p, k)
+    for a, u, v in itertools.product(range(ctx.q), repeat=3):
+        acc = [7, u]
+        ctx.add_scaled(acc, 1, a, (v,))
+        assert acc == [7, ctx.add(u, ctx.mul(a, v))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_add_scaled_matches_scalar_arithmetic(pk, data):
+    """acc[start + j] += a * row[j] against scalar add and mul, on rows with
+    zero entries, zero scales and entries that the update cancels."""
+    ctx = field(*pk)
+    a = data.draw(elements(ctx))
+    row = data.draw(st.lists(elements(ctx), max_size=8))
+    start = data.draw(st.integers(min_value=0, max_value=3))
+    acc = data.draw(st.lists(elements(ctx), min_size=start + len(row) + 2))
+    cancelled = data.draw(st.sets(st.integers(0, len(row) - 1))) if row else set()
+    for j in cancelled:
+        acc[start + j] = ctx.neg(ctx.mul(a, row[j]))  # the sum there is 0
+    expected = list(acc)
+    for j, v in enumerate(row, start):
+        expected[j] = ctx.add(expected[j], ctx.mul(a, v))
+    ctx.add_scaled(acc, start, a, row)
+    assert acc == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([pk for pk in KERNEL_FIELDS if pk != (65521, 1)]), st.data())
+def test_values_match_evaluate(pk, data):
+    """f(x) at every x against Polynomial.evaluate, also for coefficient
+    lists with zero entries and zero top coefficients."""
+    ctx = field(*pk)
+    coeffs = data.draw(st.lists(elements(ctx), max_size=9))
+    f = Polynomial(ctx, coeffs)
+    expected = [f.evaluate(x) for x in range(ctx.q)]
+    assert ctx.values(coeffs) == expected
+    assert ctx.values(f.coeffs) == expected
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(), (0,), (5,), (0, 1), (65520, 0, 1), (3, 0, 0, 65519, 0, 1)]
+)
+def test_values_match_evaluate_over_f_65521(coeffs):
+    ctx = field(65521, 1)
+    f = Polynomial(ctx, coeffs)
+    assert ctx.values(coeffs) == [f.evaluate(x) for x in range(ctx.q)]
 
 
 # sha256 of repr((q, modulus, generator, _exp, _dlog, _zech, _neg)) over

@@ -323,6 +323,14 @@ def test_sampling_beyond_the_float_range(f5):
         cover.validate(f5, G)
 
 
+def test_sample_space_rejects_a_negative_count(f5):
+    G = GroupSpec((2,))
+    dv = normalize_degrees(G, {(1,): 4})
+    with pytest.raises(ValueError, match="count must be non-negative, not -2"):
+        list(sample_space(f5, G, dv, -2, 0))
+    assert list(sample_space(f5, G, dv, 0, 0)) == []
+
+
 def test_samples_lie_in_the_space(f5):
     G = GroupSpec((2,))
     dv = normalize_degrees(G, {(1,): 4})

@@ -134,6 +134,43 @@ def test_gcd_matches_literal_euclid(q, data):
         assert is_squarefree(f) == expected
 
 
+def plain_gcd(ctx, a, b):
+    """Monic gcd of coefficient lists by Euclid with scalar add and mul, one
+    call per coefficient, down to a zero remainder."""
+    while b:
+        rem, db = list(a), len(b) - 1
+        scale = ctx.neg(ctx.inv(b[-1]))
+        for i in range(len(rem) - 1, db - 1, -1):
+            factor = ctx.mul(rem.pop(), scale)
+            for j in range(db):
+                rem[i - db + j] = ctx.add(rem[i - db + j], ctx.mul(factor, b[j]))
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, rem
+    if not a:
+        return ()
+    inv = ctx.inv(a[-1])
+    return tuple(ctx.mul(c, inv) for c in a)
+
+
+# Zero and constant operands, against everything else.
+GCD_EDGES = [(), (1,), (3,), (0, 1), (2, 0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(GCD_FIELDS)), st.data())
+def test_gcd_matches_plain_euclid(q, data):
+    """poly_gcd (add_scaled rows, stopping at a constant remainder) against
+    plain_gcd, with a planted common factor and zero and constant operands."""
+    ctx = make_field(*GCD_FIELDS[q])
+    h = rand_poly(ctx, data, max_deg=3)
+    f = rand_poly(ctx, data, max_deg=4) * h
+    g = rand_poly(ctx, data, max_deg=4) * h
+    edge = Polynomial(ctx, [c % q for c in data.draw(st.sampled_from(GCD_EDGES))])
+    for a, b in [(f, g), (g, f), (f, edge), (edge, f), (edge, edge)]:
+        assert poly_gcd(a, b).coeffs == plain_gcd(ctx, a.coeffs, b.coeffs)
+
+
 def test_squarefree_in_characteristic_p():
     # x^2 + 1 = (x+1)^2 over F_2: the derivative vanishes identically.
     f2 = make_field(2)
