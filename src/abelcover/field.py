@@ -9,11 +9,10 @@ encoding is deterministic.  It is found, and the tables are built, with the
 polyring arithmetic over the prime field F_p: a `Polynomial` product mod the
 modulus, and trial division by `is_irreducible`.  For k > 1, addition and
 negation read Zech logarithm and negation tables; digits are decoded only
-while building.  Two bulk operations do a row of work in one call:
-add_scaled (acc += a * row, the step of long division) and values (f(x) at
-every x), with integer arithmetic mod p for k = 1 and the same tables for
-k > 1.  Tables are built only for q <= TABLE_BUDGET = 2^16; a
-larger q raises TooLarge.
+while building.  Two bulk operations do a whole loop in one call: divide
+(long division of coefficient lists) and values (f(x) at every x), with
+integer arithmetic mod p for k = 1 and the same tables for k > 1.  Tables
+are built only for q <= TABLE_BUDGET = 2^16; a larger q raises TooLarge.
 
 All characters are powers of one fixed character of order q-1 attached to the
 stored generator: chi_m(g^k) = zeta_m^(k mod m).  This makes the family
@@ -189,26 +188,42 @@ class FieldCtx:
         z = self._zech[(self._dlog[b] - la) % n]
         return 0 if z is None else self._exp[(la + z) % n]
 
-    def add_scaled(self, acc: list, start: int, a: int, row) -> None:
-        """acc[start + j] += a * row[j] for every j, in place: one call per
-        row instead of one add and one mul per entry."""
-        if not a:
-            return
+    def divide(self, a, b) -> tuple[list, list]:
+        """Long division of a by b on coefficient lists, low first; b has a
+        nonzero leading coefficient.  Returns the quotient negated, top
+        coefficient first, and the remainder with trailing zeros stripped:
+        each digit -c/lead(b), c the top of the remainder, adds digit * b."""
+        exp, dlog, n = self._exp, self._dlog, self.q - 1
+        db, rem, quo = len(b) - 1, list(a), []
+        shift = (0 if self.p == 2 else n // 2) - dlog[b[-1]]  # -1 = g^(n/2)
         if self.k == 1:
-            p = self.p
-            for j, v in enumerate(row, start):
-                acc[j] = (acc[j] + a * v) % p
-            return
-        exp, dlog, zech, n = self._exp, self._dlog, self._zech, self.q - 1
-        la = dlog[a]
-        for j, v in enumerate(row, start):
-            if v:  # acc[j] + g^m = g^m (1 + g^(dlog acc[j] - m))
-                m, u = la + dlog[v], acc[j]
-                if u:
-                    z = zech[(dlog[u] - m) % n]
-                    acc[j] = 0 if z is None else exp[(m + z) % n]
-                else:
-                    acc[j] = exp[m % n]
+            p, low, scale = self.p, b[:-1], exp[shift % n]
+            for s in range(len(rem) - 1 - db, -1, -1):
+                digit = rem.pop() * scale % p
+                quo.append(digit)
+                if digit:
+                    for j, v in enumerate(low, s):
+                        rem[j] = (rem[j] + digit * v) % p
+        else:
+            zech, low = self._zech, [dlog[v] for v in b[:-1]]
+            for s in range(len(rem) - 1 - db, -1, -1):
+                c = rem.pop()
+                if not c:
+                    quo.append(0)
+                    continue
+                m = dlog[c] + shift
+                quo.append(exp[m % n])
+                for j, lv in enumerate(low, s):
+                    if lv is not None:  # rem[j] + g^t = g^t (1 + g^(dlog rem[j] - t))
+                        t, u = m + lv, rem[j]
+                        if u:
+                            z = zech[(dlog[u] - t) % n]
+                            rem[j] = 0 if z is None else exp[(t + z) % n]
+                        else:
+                            rem[j] = exp[t % n]
+        while rem and not rem[-1]:
+            rem.pop()
+        return quo, rem
 
     def values(self, coeffs) -> list[int]:
         """f(x) for x = 0, 1, ..., q-1, f the polynomial with coefficients

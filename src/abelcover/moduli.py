@@ -102,16 +102,16 @@ def alpha_map(G: GroupSpec, raw: Mapping, fill) -> dict:
 def normalize_degrees(G: GroupSpec, raw: Mapping) -> DegreeVector:
     """Validate a raw degree assignment and fill unmentioned alphas with 0.
 
-    Keys are read by alpha_map; a degree that is not an integer raises
-    ValueError.  Raises CongruenceViolation naming the first offending
-    coordinate j.
+    Keys are read by alpha_map; a degree that is not a non-negative integer
+    raises ValueError.  Raises CongruenceViolation naming the first
+    offending coordinate j.
     """
     degrees = alpha_map(G, raw, 0)
-    for d in degrees.values():
+    for alpha, d in degrees.items():
         if not isinstance(d, int):
             raise ValueError(f"degree {d!r} is not an integer")
         if d < 0:
-            raise CongruenceViolation(0, d, 1)
+            raise ValueError(f"degree of {alpha} must be non-negative, not {d}")
     dv = DegreeVector(G, tuple(sorted((a, int(d)) for a, d in degrees.items())))
     for j, (dj, rj) in enumerate(zip(dv.d_vec, G.r), start=1):
         if dj % rj:
@@ -288,11 +288,24 @@ def enumerate_space(
             yield CoverTuple(c, f, tag)
 
 
+def _randbelow(rng: random.Random, n: int, count: int) -> list[int]:
+    """count values of rng.randrange(n), drawn by randrange's rule on CPython
+    3.10-3.13: getrandbits(n.bit_length()), redrawn while >= n.  So the
+    values and the state of rng after the draws are randrange's."""
+    bits, draw, out = n.bit_length(), rng.getrandbits, []
+    for _ in range(count):
+        r = draw(bits)
+        while r >= n:
+            r = draw(bits)
+        out.append(r)
+    return out
+
+
 def _random_polys(ctx: FieldCtx, degmap: dict, rng: random.Random) -> dict:
     out = {}
     for alpha in sorted(degmap):
-        d = degmap[alpha]
-        coeffs = [rng.randrange(ctx.q) for _ in range(d)] + [1]
+        coeffs = _randbelow(rng, ctx.q, degmap[alpha])
+        coeffs.append(1)
         out[alpha] = Polynomial(ctx, coeffs)
     return out
 
@@ -346,5 +359,5 @@ def sample_space(
             raise RejectionStall(
                 f"no acceptance in {STALL_LIMIT} draws for component {tag}"
             )
-        c = tuple(rng.randrange(1, ctx.q) for _ in range(G.n))
+        c = tuple(1 + r for r in _randbelow(rng, ctx.q - 1, G.n))
         yield CoverTuple(c, tuple(sorted(polys.items())), tag)

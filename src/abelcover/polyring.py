@@ -117,7 +117,7 @@ class Polynomial:
         F = self.ctx
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
-        quo, rem = _divide(F, self.coeffs, other.coeffs)
+        quo, rem = F.divide(self.coeffs, other.coeffs)
         return Polynomial(F, [F.neg(c) for c in reversed(quo)]), Polynomial(F, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
@@ -131,11 +131,11 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        F = self.ctx
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(F.mul(c, i % F.p))
-        return Polynomial(F, out)
+        F, p = self.ctx, self.ctx.p
+        terms = enumerate(self.coeffs[1:], start=1)
+        if F.k == 1:
+            return Polynomial(F, [c * i % p for i, c in terms])
+        return Polynomial(F, [F.mul(c, i % p) for i, c in terms])
 
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
@@ -153,25 +153,6 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _divide(ctx: FieldCtx, a, b) -> tuple[list, list]:
-    """Long division of a by b on coefficient lists, low first; b has a
-    nonzero leading coefficient.  Returns the quotient negated, top
-    coefficient first, and the remainder with trailing zeros stripped.
-    Each quotient digit costs one add_scaled row update."""
-    mul, add_scaled = ctx.mul, ctx.add_scaled
-    rem, quo = list(a), []
-    db = len(b) - 1
-    low, scale = b[:-1], ctx.neg(ctx.inv(b[-1]))
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem.pop()  # cancelled by adding factor = -c / b[-1] times b
-        factor = c and mul(c, scale)
-        quo.append(factor)
-        add_scaled(rem, i - db, factor, low)
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
-
-
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd; gcd(0, 0) = 0.  Euclid runs on the coefficient lists and
     stops at a nonzero constant remainder, where the gcd is 1."""
@@ -181,7 +162,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     while b:
         if len(b) == 1:
             return Polynomial.one(ctx)
-        a, b = b, _divide(ctx, a, b)[1]
+        a, b = b, ctx.divide(a, b)[1]
     return Polynomial(ctx, a).monic()
 
 

@@ -357,6 +357,13 @@ def test_verify_fails_on_admissibility_check(monkeypatch, capsys):
     assert "FAIL oracle" in capsys.readouterr().out
 
 
+def test_genus_rejects_a_negative_degree(capsys):
+    code, out, err = run(capsys, "genus", "--p", "5", "--r", "2", "--degrees", '{"1": -2}')
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree of (1,) must be non-negative, not -2\n"
+
+
 def test_genus_rejects_degrees_that_are_not_a_map(capsys):
     code, _, err = run(capsys, "genus", "--r", "2", "--degrees", "[6]")
     assert code == 2

@@ -219,35 +219,59 @@ def elements(ctx):
     return st.one_of(st.just(0), st.integers(min_value=0, max_value=ctx.q - 1))
 
 
-@pytest.mark.parametrize("p,k", [pk for pk in KERNEL_FIELDS if pk[0] ** pk[1] <= 27])
-def test_add_scaled_matches_scalar_arithmetic_exhaustively(p, k):
-    """Every u + a*v by add_scaled on a one-entry row, zero scales and every
-    sum that cancels (1 + g^i = 0) included."""
+def schoolbook_divide(ctx, a, b):
+    """Long division with scalar add, mul, neg and inv, one digit at a time:
+    the quotient negated, top digit first, and the stripped remainder."""
+    rem, quo, db = list(a), [], len(b) - 1
+    scale = ctx.neg(ctx.inv(b[-1]))
+    while len(rem) > db:
+        digit = ctx.mul(rem.pop(), scale)
+        quo.append(digit)
+        for j in range(db):
+            i = len(rem) - db + j
+            rem[i] = ctx.add(rem[i], ctx.mul(digit, b[j]))
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+@pytest.mark.parametrize("p,k", [pk for pk in KERNEL_FIELDS if pk[0] ** pk[1] <= 9])
+def test_divide_matches_schoolbook_exhaustively(p, k):
+    """Every dividend of degree <= 2, zero top entries and the empty list
+    included, by every divisor of degree 1."""
     ctx = field(p, k)
-    for a, u, v in itertools.product(range(ctx.q), repeat=3):
-        acc = [7, u]
-        ctx.add_scaled(acc, 1, a, (v,))
-        assert acc == [7, ctx.add(u, ctx.mul(a, v))]
+    elems = range(ctx.q)
+    dividends = [list(a) for n in range(4) for a in itertools.product(elems, repeat=n)]
+    for b in itertools.product(elems, ctx.units()):
+        for a in dividends:
+            assert ctx.divide(a, b) == schoolbook_divide(ctx, a, b)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(KERNEL_FIELDS), st.data())
-def test_add_scaled_matches_scalar_arithmetic(pk, data):
-    """acc[start + j] += a * row[j] against scalar add and mul, on rows with
-    zero entries, zero scales and entries that the update cancels."""
+def test_divide_matches_schoolbook(pk, data):
+    """divide against schoolbook_divide on dividends with zero entries,
+    constant divisors, dividends shorter than the divisor and multiples of
+    the divisor, whose remainder is zero."""
     ctx = field(*pk)
-    a = data.draw(elements(ctx))
-    row = data.draw(st.lists(elements(ctx), max_size=8))
-    start = data.draw(st.integers(min_value=0, max_value=3))
-    acc = data.draw(st.lists(elements(ctx), min_size=start + len(row) + 2))
-    cancelled = data.draw(st.sets(st.integers(0, len(row) - 1))) if row else set()
-    for j in cancelled:
-        acc[start + j] = ctx.neg(ctx.mul(a, row[j]))  # the sum there is 0
-    expected = list(acc)
-    for j, v in enumerate(row, start):
-        expected[j] = ctx.add(expected[j], ctx.mul(a, v))
-    ctx.add_scaled(acc, start, a, row)
-    assert acc == expected
+    b = data.draw(st.lists(elements(ctx), max_size=4))
+    b.append(data.draw(st.integers(min_value=1, max_value=ctx.q - 1)))
+    shape = data.draw(st.sampled_from(["any", "shorter", "multiple"]))
+    if shape == "multiple":
+        c = Polynomial(ctx, data.draw(st.lists(elements(ctx), max_size=5)))
+        a = list((Polynomial(ctx, b) * c).coeffs)
+    else:
+        size = len(b) - 1 if shape == "shorter" else 9
+        a = data.draw(st.lists(elements(ctx), max_size=size))
+    given_a, given_b = list(a), list(b)
+    quo, rem = ctx.divide(a, b)
+    assert (quo, rem) == schoolbook_divide(ctx, a, b)
+    assert (a, b) == (given_a, given_b)  # the operands are left as they were
+    assert len(rem) < len(b)
+    if shape == "multiple":
+        assert rem == []
+    if shape == "shorter":
+        assert quo == [] and rem == list(Polynomial(ctx, a).coeffs)
 
 
 @settings(max_examples=150, deadline=None)

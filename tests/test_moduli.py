@@ -21,6 +21,7 @@ from abelcover.field import make_field
 from abelcover.groupcomb import GroupSpec
 from abelcover.moduli import (
     _accept,
+    _randbelow,
     _random_polys,
     component_degree_maps,
     component_sizes,
@@ -64,6 +65,13 @@ def test_congruence_violations_are_reported_per_coordinate():
     with pytest.raises(CongruenceViolation) as exc:
         normalize_degrees(G, {(0, 1): 2})
     assert exc.value.j == 2
+
+
+def test_negative_degree_names_its_alpha():
+    G = GroupSpec((2, 2))
+    with pytest.raises(ValueError) as exc:
+        normalize_degrees(G, {(1, 0): 2, (0, 1): -2})
+    assert str(exc.value) == "degree of (0, 1) must be non-negative, not -2"
 
 
 def test_bad_index_vectors_rejected():
@@ -329,6 +337,28 @@ def test_sample_space_rejects_a_negative_count(f5):
     with pytest.raises(ValueError, match="count must be non-negative, not -2"):
         list(sample_space(f5, G, dv, -2, 0))
     assert list(sample_space(f5, G, dv, 0, 0)) == []
+
+
+# q = 2 draws its leading unit from a width of 1; powers of two redraw most.
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+)
+def test_draws_keep_the_randrange_stream(p, k):
+    """The coefficient and leading-unit draws give randrange's values and
+    leave the generator in randrange's state."""
+    ctx = make_field(p, k)
+    q, degmap = ctx.q, {(1, 0): 3, (0, 1): 0, (1, 1): 5}
+    for seed in range(4):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 2, 7):
+            polys = _random_polys(ctx, degmap, ours)
+            for alpha in sorted(degmap):
+                coeffs = [theirs.randrange(q) for _ in range(degmap[alpha])] + [1]
+                assert polys[alpha].coeffs == tuple(coeffs)
+            units = [1 + r for r in _randbelow(ours, q - 1, count)]
+            assert units == [theirs.randrange(1, q) for _ in range(count)]
+            assert _randbelow(ours, q, count) == [theirs.randrange(q) for _ in range(count)]
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_samples_lie_in_the_space(f5):
