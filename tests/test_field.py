@@ -274,6 +274,38 @@ def test_divide_matches_schoolbook(pk, data):
         assert quo == [] and rem == list(Polynomial(ctx, a).coeffs)
 
 
+@pytest.mark.parametrize("p,k", [pk for pk in KERNEL_FIELDS if pk[0] ** pk[1] <= 27])
+def test_add_scaled_matches_scalar_arithmetic_exhaustively(p, k):
+    """Every u + a*v by the row update in divide: [u, -a] by x + v has the
+    one digit a and remainder u + a*v.  Zero scales and every sum that
+    cancels (1 + g^i = 0) included."""
+    ctx = field(p, k)
+    for a, u, v in itertools.product(range(ctx.q), repeat=3):
+        total = ctx.add(u, ctx.mul(a, v))
+        assert ctx.divide([u, ctx.neg(a)], [v, 1]) == ([a], [total] if total else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_add_scaled_matches_scalar_arithmetic(pk, data):
+    """acc[j] += a * row[j] by the row update in divide, against scalar add
+    and mul: acc with top -a*lead, by row with top lead, has the one digit a.
+    Rows with zero entries, zero scales and entries that the update cancels."""
+    ctx = field(*pk)
+    a = data.draw(elements(ctx))
+    row = data.draw(st.lists(elements(ctx), max_size=8))
+    lead = data.draw(st.integers(min_value=1, max_value=ctx.q - 1))
+    acc = data.draw(st.lists(elements(ctx), min_size=len(row), max_size=len(row)))
+    cancelled = data.draw(st.sets(st.integers(0, len(row) - 1))) if row else set()
+    for j in cancelled:
+        acc[j] = ctx.neg(ctx.mul(a, row[j]))  # the sum there is 0
+    expected = [ctx.add(u, ctx.mul(a, v)) for u, v in zip(acc, row)]
+    while expected and not expected[-1]:
+        expected.pop()
+    top = ctx.neg(ctx.mul(a, lead))
+    assert ctx.divide(acc + [top], row + [lead]) == ([a], expected)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([pk for pk in KERNEL_FIELDS if pk != (65521, 1)]), st.data())
 def test_values_match_evaluate(pk, data):
