@@ -412,6 +412,11 @@ def check_oracle():
                 rep = class_of(group, ev.beta).representative
                 patterns[ev.x][(rep, ev.count > 0)] += 1
             for ev in report.points:
+                _require(
+                    check_admissible_decomposition(group, ev.pattern),
+                    "oracle",
+                    "inadmissible pattern at x=%s for q=%d r=%s" % (ev.x, ctx.q, r),
+                )
                 if ev.x == "inf":
                     continue
                 try:
@@ -422,11 +427,6 @@ def check_oracle():
                     direct == ev.count,
                     "oracle",
                     "count mismatch at x=%s for q=%d r=%s" % (ev.x, ctx.q, r),
-                )
-                _require(
-                    check_admissible_decomposition(group, ev.pattern),
-                    "oracle",
-                    "inadmissible pattern at x=%s for q=%d r=%s" % (ev.x, ctx.q, r),
                 )
         _require(
             space_count_histogram(ctx, group, dv) == counts,

@@ -14,23 +14,23 @@ cyclotomic-integer cross-check confirms the dichotomy against the literal
 root-of-unity sum, and a brute-force y-search oracle confirms it at
 unramified points.
 
-Inside this module a pair is its position in enumerate_index_pairs(G);
-IndexPair keys appear only in a PointEvaluation's pattern, which is built
-on first read.  The key of f at x is 0 where f(x) = 0, else
-1 + dlog f(x) mod exp(G), a multiple of every ell.  The key -> state rule
-(_point_state) maps the key vector of the f_alpha at x to the point state
-(beta_x, {position: exponent or None}): the vanishing alpha, and
-sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor vanishes,
-e_alpha = pair_weight(pair, alpha).  The one count rule, _count_above, adds
-the c-part pair_weight(pair, dlog c) of the class (dlog c_j mod r_j)_j of
-the leading units to a state and applies the dichotomy.  What these rules
-need of a group and its alphas is held in one memo (_plan), keyed by plain
-tuples and holding no field.  count_points (and eval_at) find the keys from
-the values of each f_alpha at every x (FieldCtx.values) and their dlogs.
-The one walk, space_count_histogram, takes each coordinate from the
-coprime walk as its row of a per-degree key table and counts once per key
-vector and class of leading units.  space_pattern_histogram is counted,
-not walked.
+Inside this module a pair is its position in enumerate_index_pairs(G), and
+an f_alpha its position in G.nonzero_vectors(), the alpha order that
+CoverTuple.validate demands; IndexPair keys appear only in a
+PointEvaluation's pattern, which is built on first read.  The key of f at x
+is 0 where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every ell.
+The key -> state rule (_point_state) maps the key vector of the f_alpha at x
+to the point state (beta_x, {position: exponent or None}): the vanishing
+alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor
+vanishes, e_alpha = pair_weight(pair, alpha).  The one count rule,
+_count_above, adds the c-part pair_weight(pair, dlog c) of the class
+(dlog c_j mod r_j)_j of the leading units to a state and applies the
+dichotomy.  What these rules need of a group is held in one memo, _plan(r),
+which holds no field.  count_points (and eval_at) find the keys from the
+values of each f_alpha at every x (FieldCtx.values) and their dlogs.  The
+one walk, space_count_histogram, takes each coordinate from the coprime walk
+as its row of a per-degree key table and counts once per key vector and
+class of leading units.  space_pattern_histogram is counted, not walked.
 """
 
 from __future__ import annotations
@@ -142,15 +142,14 @@ def derived_polys(ctx: FieldCtx, G: GroupSpec, t: CoverTuple) -> list[DerivedPol
         ell = pair.ell
         exps = {alpha: pair_weight(pair, alpha) for alpha in G.nonzero_vectors()}
         prod = Polynomial.one(ctx)
-        for alpha in sorted(exps):
-            e = exps[alpha]
+        for alpha, e in exps.items():
             if e:
                 prod = prod * polys[alpha] ** e
         const = 1
         for cj, sj, wj in zip(t.c, pair.s, pair.omega):
             const = ctx.mul(const, ctx.pow(cj, ell // sj * wj % ell))
         out.append(
-            DerivedPolynomial(pair, const, tuple(sorted(exps.items())), prod)
+            DerivedPolynomial(pair, const, tuple(exps.items()), prod)
         )
     return out
 
@@ -242,10 +241,9 @@ def count_points(
     point's pattern is built on first read; with check=True its values are
     computed at once, for the cyclotomic sum."""
     _check_order(G, ctx.q)
-    polys = t.polys()
-    plan = _plan(G.r, tuple(polys))
+    plan = _plan(G.r)
     c_part = plan.c_parts[tuple(map(int.__mod__, map(ctx.dlog, t.c), G.r))]
-    data = _component_point_data(ctx, G, polys)
+    data = _component_point_data(ctx, G, t.polys())
     points = []
     for x, (beta, exps) in zip([*range(ctx.q), INFINITY], data):
         surviving, vanishing = plan.supports[beta]
@@ -304,12 +302,12 @@ def _point_index(ctx: FieldCtx, x) -> int:
     return x
 
 
-def _exponent_table(G: GroupSpec, alphas: tuple) -> tuple:
+def _exponent_table(G: GroupSpec) -> tuple:
     """(ell, ((i, e_alpha) for every e_alpha != 0)) per pair position, i
-    the position of alpha in alphas (which must hold every nonzero alpha)."""
+    the position of alpha in G.nonzero_vectors()."""
     table = []
     for pair in enumerate_index_pairs(G):
-        exps = ((alphas.index(a), pair_weight(pair, a)) for a in G.nonzero_vectors())
+        exps = enumerate(pair_weight(pair, a) for a in G.nonzero_vectors())
         table.append((pair.ell, tuple((i, e) for i, e in exps if e)))
     return tuple(table)
 
@@ -342,18 +340,18 @@ def _key_table(ctx: FieldCtx, E: int, d: int):
     return store(itertools.chain.from_iterable(zip(*columns)))
 
 
-def _point_state(G: GroupSpec, table: tuple, alphas: tuple, keys: tuple, x) -> tuple:
-    """The key -> state rule.  keys[i] is 0 where f_(alphas[i]) vanishes at
-    x, else 1 + its dlog mod exp(G); table is _exponent_table(G, alphas).
-    The state is (beta_x, {position: exponent or None}) in position order:
-    beta_x the vanishing alpha (0 if none), the exponent sum_alpha e_alpha
+def _point_state(plan: _Plan, keys: tuple, x) -> tuple:
+    """The key -> state rule.  keys[i] is 0 where f_(plan.alphas[i])
+    vanishes at x, else 1 + its dlog mod exp(G).  The state is
+    (beta_x, {position: exponent or None}) in position order: beta_x the
+    vanishing alpha (0 if none), the exponent sum_alpha e_alpha
     dlog f_alpha(x) mod ell, None where an f_alpha with e_alpha != 0
     vanishes (ell divides exp(G), so the keys suffice)."""
-    vanishing = [alpha for alpha, key in zip(alphas, keys) if not key]
+    vanishing = [alpha for alpha, key in zip(plan.alphas, keys) if not key]
     if len(vanishing) > 1:
         raise MultipleVanishing(f"{len(vanishing)} polynomials vanish at {x}")
     exps = {}
-    for pos, (ell, pair_exps) in enumerate(table):
+    for pos, (ell, pair_exps) in enumerate(plan.table):
         acc = 0
         for i, e in pair_exps:
             key = keys[i]
@@ -362,30 +360,33 @@ def _point_state(G: GroupSpec, table: tuple, alphas: tuple, keys: tuple, x) -> t
                 break
             acc += e * (key - 1)
         exps[pos] = None if acc is None else acc % ell
-    return (vanishing[0] if vanishing else (0,) * G.n), exps
+    return (vanishing[0] if vanishing else (0,) * plan.G.n), exps
 
 
 def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
     """The point states (_point_state) at 0, ..., q-1, then the state at
     INFINITY (_infinity_state), without the c-part, for one cover: the keys
     come from the values of each f_alpha at every x (FieldCtx.values) and
-    their dlogs.  polys is keyed by every nonzero alpha."""
-    alphas, E = tuple(polys), G.exponent
-    plan, memo = _plan(G.r, alphas), {}
+    their dlogs.  polys is read in G.nonzero_vectors() order; keyed by other
+    alphas, it raises DimensionMismatch."""
+    plan, memo, E = _plan(G.r), {}, G.exponent
+    if polys.keys() != set(plan.alphas):
+        raise DimensionMismatch(f"f is not keyed by the nonzero alphas of {G.r}")
+    fs = [polys[alpha] for alpha in plan.alphas]
     key = [0, *(1 + ctx.dlog(v) % E for v in range(1, ctx.q))]
-    keys = [list(map(key.__getitem__, ctx.values(f.coeffs))) for f in polys.values()]
+    keys = [list(map(key.__getitem__, ctx.values(f.coeffs))) for f in fs]
     data = [
-        memo.get(k) or memo.setdefault(k, _point_state(G, plan.table, alphas, k, x))
+        memo.get(k) or memo.setdefault(k, _point_state(plan, k, x))
         for x, k in enumerate(zip(*keys))
     ]
-    data.append(plan.infinity_state(tuple(max(f.degree, 0) for f in polys.values())))
+    data.append(plan.infinity_state(tuple(max(f.degree, 0) for f in fs)))
     return data
 
 
-def _infinity_state(G: GroupSpec, alphas: tuple, degrees: tuple) -> tuple:
-    """The point state at infinity where f_(alphas[i]) has degree degrees[i]:
-    beta = -d_vec, the exponent 0, or None where pair_weight(pair, d_vec) != 0."""
-    d = d_vec(G, dict(zip(alphas, degrees)))
+def _infinity_state(G: GroupSpec, degrees: tuple) -> tuple:
+    """The state at infinity for the f_alpha degrees, in alpha order: beta =
+    -d_vec, the exponent 0, or None where pair_weight(pair, d_vec) != 0."""
+    d = d_vec(G, dict(zip(G.nonzero_vectors(), degrees)))
     beta = tuple(-dj % rj for dj, rj in zip(d, G.r))
     pairs = enumerate_index_pairs(G)
     return beta, {i: None if pair_weight(pair, d) else 0 for i, pair in enumerate(pairs)}
@@ -407,20 +408,20 @@ def _c_parts(G: GroupSpec) -> dict:
 
 
 class _Plan:
-    """What counting needs of a group G and an order alphas of its nonzero
-    alphas, besides the field: the index pairs; per position the order ell
-    and its character values (rows); the exponent table; the supports; the
-    c-part of each class of leading units; and the states at infinity,
-    built per degrees on first use."""
+    """What counting needs of a group G, besides the field: its nonzero
+    alphas in the one order every cover holds them (alphas); the index
+    pairs; per position the order ell and its character values (rows); the
+    exponent table; the supports; the c-part of each class of leading
+    units; and the states at infinity, built per degrees on first use."""
 
     __slots__ = (
         "G", "alphas", "pairs", "rows", "table", "supports", "c_parts", "_infinity"
     )
 
-    def __init__(self, G: GroupSpec, alphas: tuple):
-        self.G, self.alphas = G, alphas
+    def __init__(self, G: GroupSpec):
+        self.G, self.alphas = G, tuple(G.nonzero_vectors())
         self.pairs = enumerate_index_pairs(G)
-        self.table = _exponent_table(G, alphas)
+        self.table = _exponent_table(G)
         self.rows = [(ell, _char_values(ell)) for ell, _ in self.table]
         self.supports = _supports(G)
         self.c_parts = _c_parts(G)
@@ -429,16 +430,15 @@ class _Plan:
     def infinity_state(self, degrees: tuple) -> tuple:
         """_infinity_state where f_(alphas[i]) has degree degrees[i]."""
         if degrees not in self._infinity:
-            self._infinity[degrees] = _infinity_state(self.G, self.alphas, degrees)
+            self._infinity[degrees] = _infinity_state(self.G, degrees)
         return self._infinity[degrees]
 
 
 @lru_cache(maxsize=None)
-def _plan(r: tuple, alphas: tuple) -> _Plan:
-    """The _Plan of GroupSpec(r) and alphas.  The one memo of the counting
-    paths, keyed by plain tuples (a GroupSpec hashes in Python) and holding
-    no field."""
-    return _Plan(GroupSpec(r), alphas)
+def _plan(r: tuple) -> _Plan:
+    """The _Plan of GroupSpec(r): the one memo of the counting paths, keyed by
+    r (a GroupSpec hashes in Python) and holding no field."""
+    return _Plan(GroupSpec(r))
 
 
 # -- bulk harnesses -----------------------------------------------------
@@ -451,7 +451,7 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
     for all classes are packed into one integer, class k in bits k*b to
     k*b+b-1 (b bits hold a total, at most |G|(q+1)), and a tuple's finite
     total is one sum of the packed rows of its key vectors."""
-    q, alphas, key_tables = ctx.q, tuple(sorted(dv.as_dict())), {}
+    q, key_tables = ctx.q, {}
 
     def key_row(d, code):
         if d not in key_tables:
@@ -460,8 +460,8 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
 
     tuples = space_tuples(ctx, G, dv, key_row)
     _check_order(G, q)
-    plan = _plan(G.r, alphas)
-    classes, table, supports = list(plan.c_parts.values()), plan.table, plan.supports
+    plan = _plan(G.r)
+    classes, supports = list(plan.c_parts.values()), plan.supports
     bits = (G.size * (q + 1)).bit_length()
     rows: dict = {}
 
@@ -474,12 +474,12 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
             return sum(map(rows.__getitem__, zip(*coords)))
         except KeyError:
             for y, keys in enumerate(zip(*coords)):
-                rows[keys] = pack(_point_state(G, table, alphas, keys, y))
+                rows[keys] = pack(_point_state(plan, keys, y))
             return finite(coords)
 
     tally = Counter((tag, finite(p.values())) for tag, p in tuples)
     infinity = {
-        tag: pack(plan.infinity_state(tuple(map(degmap.get, alphas))))
+        tag: pack(plan.infinity_state(tuple(map(degmap.get, plan.alphas))))
         for tag, degmap in component_degree_maps(G, dv)
     }
     weight, out = (q - 1) ** G.n // G.size, Counter()

@@ -220,6 +220,9 @@ class CoverTuple:
         return dict(self.f)
 
     def validate(self, ctx: FieldCtx, G: GroupSpec) -> None:
+        """The cover contract: c in (F_q^*)^n and one monic squarefree f_alpha
+        over F_q per nonzero alpha, in G.nonzero_vectors() order, pairwise
+        coprime (a constant f_alpha is 1)."""
         if len(self.c) != G.n or any(not 1 <= cj < ctx.q for cj in self.c):
             raise DimensionMismatch("leading-coefficient vector invalid")
         polys = self.polys()
@@ -228,9 +231,10 @@ class CoverTuple:
                 raise DimensionMismatch(
                     f"f_{alpha} is not a nonzero polynomial over F_{ctx.q}"
                 )
-        monic = all(f.is_monic for f in polys.values() if f.degree >= 1)
-        if not (monic and _accept(polys)):
+        if not (all(f.is_monic for f in polys.values()) and _accept(polys)):
             raise MultipleVanishing(f"{polys}: not monic, squarefree, coprime")
+        if [alpha for alpha, _ in self.f] != G.nonzero_vectors():
+            raise DimensionMismatch(f"f is not keyed by the nonzero alphas of {G.r}")
 
 
 def make_cover_tuple(c, polys: Mapping, tag=None) -> CoverTuple:
@@ -283,7 +287,7 @@ def enumerate_space(
     with the leading coefficients innermost."""
     units = list(range(1, ctx.q))
     for tag, polys in space_tuples(ctx, G, dv):
-        f = tuple(sorted(polys.items()))
+        f = tuple(polys.items())
         for c in itertools.product(units, repeat=G.n):
             yield CoverTuple(c, f, tag)
 
@@ -302,12 +306,10 @@ def _randbelow(rng: random.Random, n: int, count: int) -> list[int]:
 
 
 def _random_polys(ctx: FieldCtx, degmap: dict, rng: random.Random) -> dict:
-    out = {}
-    for alpha in sorted(degmap):
-        coeffs = _randbelow(rng, ctx.q, degmap[alpha])
-        coeffs.append(1)
-        out[alpha] = Polynomial(ctx, coeffs)
-    return out
+    return {
+        alpha: Polynomial(ctx, [*_randbelow(rng, ctx.q, d), 1])
+        for alpha, d in degmap.items()
+    }
 
 
 def _accept(polys: dict) -> bool:
@@ -360,4 +362,4 @@ def sample_space(
                 f"no acceptance in {STALL_LIMIT} draws for component {tag}"
             )
         c = tuple(1 + r for r in _randbelow(rng, ctx.q - 1, G.n))
-        yield CoverTuple(c, tuple(sorted(polys.items())), tag)
+        yield CoverTuple(c, tuple(polys.items()), tag)

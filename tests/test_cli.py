@@ -91,6 +91,37 @@ def test_count_rejects_polynomials_not_over_the_field(capsys, coeffs):
     assert "not a nonzero polynomial over F_5" in err
 
 
+def test_count_rejects_a_constant_other_than_one(capsys):
+    """y^2 = 2 is written c = 2, f = 1: every f_alpha is monic."""
+    argv = ["count", "--p", "5", "--r", "2"]
+    code, _, err = run(capsys, *argv, "--c", "[1]", "--f", '{"1": [2]}')
+    assert code == 2
+    assert "not monic" in err
+    code, out, _ = run(capsys, *argv, "--c", "[2]", "--f", '{"1": [1]}')
+    assert code == 0
+    assert json.loads(out)["total"] == 0
+
+
+def test_count_rejects_extension_degree_zero(capsys):
+    argv = ["count", "--p", "5", "--k", "0", "--r", "2", "--c", "[1]"]
+    code, out, err = run(capsys, *argv, "--f", '{"1": [1]}')
+    assert (code, out, err) == (2, "", "error: k must be positive, got 0\n")
+
+
+def test_a_dichotomy_fault_is_an_internal_error(monkeypatch, capsys):
+    """A count rule that ignores the values (|A_beta| at every point) is
+    caught by the cyclotomic check: count exits 1 and verify's oracle fails."""
+    monkeypatch.setattr(counting, "_count_above", lambda surviving, *_: len(surviving))
+    code, out, err = run(
+        capsys, "count", "--p", "5", "--r", "2", "--c", "[1]", "--f", '{"1": [1, 0, 1]}'
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: cyclotomic sum disagrees")
+    lines = []
+    assert cli.run_verification(only="oracle", out=lines.append) == 1
+    assert lines[0].startswith("FAIL oracle (cyclotomic sum disagrees")
+
+
 def test_count_rejects_wrong_length_alpha(capsys):
     code, _, err = run(
         capsys, "count", "--p", "5", "--r", "2", "--c", "[1]", "--f", '{"1,0": [1, 1]}'
@@ -355,6 +386,31 @@ def test_verify_fails_on_admissibility_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_admissible_decomposition", lambda G, p: False)
     assert cli.main(["verify"]) == 1
     assert "FAIL oracle" in capsys.readouterr().out
+
+
+def test_verify_checks_the_patterns_at_branch_points(monkeypatch):
+    """A zero value of the wrong order shows only where a pattern vanishes,
+    at branch points and at a ramified infinity: verify's oracle check
+    reads the pattern at every point of P^1."""
+    real = cli.count_points
+
+    def zeros_of_order_one(ctx, G, t, check=True):
+        report = real(ctx, G, t, check)
+        report.points = [
+            counting.PointEvaluation(
+                ev.x,
+                ev.beta,
+                {p: CharValue.zero(1) if v.is_zero else v for p, v in ev.pattern.items()},
+                ev.count,
+            )
+            for ev in report.points
+        ]
+        return report
+
+    monkeypatch.setattr(cli, "count_points", zeros_of_order_one)
+    lines = []
+    assert cli.run_verification(only="oracle", out=lines.append) == 1
+    assert lines[0].startswith("FAIL oracle (inadmissible pattern at x=")
 
 
 def test_genus_rejects_a_negative_degree(capsys):

@@ -42,6 +42,7 @@ from abelcover.groupcomb import (
     ram_exponent,
 )
 from abelcover.moduli import (
+    CoverTuple,
     component_sizes,
     d_vec,
     degrees_from_json,
@@ -116,6 +117,35 @@ def test_eval_rejects_common_roots(f5):
         eval_at(f5, G, bad, 1)
 
 
+def test_cyclotomic_check_catches_a_dichotomy_fault(f5, monkeypatch):
+    """A count rule that ignores the values counts |A_beta| at every point.
+    On y^2 = x^2 + 1 over F_5 the exact cyclotomic sum refuses it first at
+    x = 1, where the value is -1; unchecked, the total reads 10, not 6."""
+    G, t = GroupSpec((2,)), hyper(f5, 1, [1, 0, 1])
+    monkeypatch.setattr(counting, "_count_above", lambda surviving, *_: len(surviving))
+    message = "^cyclotomic sum disagrees with dichotomy count at x=1$"
+    with pytest.raises(InternalInconsistency, match=message):
+        count_points(f5, G, t)
+    assert count_points(f5, G, t, check=False).total == 10
+
+
+def test_counting_reads_the_alphas_in_group_order(f5):
+    """A cover that omits an alpha is refused with DimensionMismatch; one
+    that holds every alpha in another order counts as the ordered one."""
+    G = GroupSpec((2, 2))
+    polys = {
+        (1, 0): Polynomial.x_minus(f5, 1),
+        (0, 1): Polynomial(f5, [1, 0, 1]),
+        (1, 1): Polynomial.x_minus(f5, 0),
+    }
+    cover = make_cover_tuple((2, 1), polys)
+    del polys[(1, 1)]
+    with pytest.raises(DimensionMismatch, match="not keyed by the nonzero alphas"):
+        count_points(f5, G, make_cover_tuple((2, 1), polys))
+    reordered = CoverTuple(cover.c, cover.f[::-1])
+    assert count_points(f5, G, reordered) == count_points(f5, G, cover)
+
+
 @pytest.mark.parametrize("r", [(2,), (2, 2)])
 def test_zero_support_check_fires(f5, monkeypatch, r):
     """A point state in which a pair of A_beta reads None (a vanishing value
@@ -125,8 +155,8 @@ def test_zero_support_check_fires(f5, monkeypatch, r):
     assert enumerate_index_pairs(G).index(trivial) == 0  # its position
     real = counting._point_state
 
-    def drops_a_surviving_pair(G, table, alphas, keys, x):
-        beta, exps = real(G, table, alphas, keys, x)
+    def drops_a_surviving_pair(plan, keys, x):
+        beta, exps = real(plan, keys, x)
         assert trivial in a_beta(G, beta)
         return beta, {**exps, 0: None}
 
@@ -427,7 +457,7 @@ def assert_literal_patterns(ctx, G, t):
 
 def test_memos_keep_fields_and_components_apart():
     """count_points memoises the c-part per (group, q), over the classes of
-    leading units, and the state at infinity per (group, alphas, degrees).
+    leading units, and the state at infinity per (group, degrees).
     Interleave, in one process, the same unit vectors c over F_5 and F_9
     and covers of the plain and the dropped components of one space: every
     pattern stays literal."""

@@ -43,6 +43,21 @@ def test_rejects_oversized_tables():
         make_field(2, 40)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_rejects_an_extension_degree_below_one(k):
+    with pytest.raises(TooLarge, match=f"^k must be positive, got {k}$"):
+        make_field(5, k)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def test_zero_has_no_inverse_or_dlog(p, k):
+    ctx = make_field(p, k)
+    for op in (ctx.inv, lambda a: ctx.pow(a, -1), ctx.dlog):
+        with pytest.raises(ZeroDivisionError):
+            op(0)
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 3) == 0
+
+
 def test_modulus_is_least_irreducible():
     # Frozen by scanning monic polynomials in encoding order and trial
     # dividing: x^2+x+1 over F_2, x^2+1 over F_3, x^3+x+1 over F_2.

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelcover.counting import count_points
 from abelcover.errors import BadDivisor, InternalInconsistency
-from abelcover.field import CharValue
+from abelcover.field import CharValue, make_field
 from abelcover.groupcomb import (
     GroupSpec,
     IndexPair,
@@ -21,6 +22,7 @@ from abelcover.groupcomb import (
     phi_G,
     ram_exponent,
 )
+from abelcover.moduli import normalize_degrees, sample_space
 
 CHAINS = [
     (2,),
@@ -177,6 +179,65 @@ def test_admissibility_rejects_broken_generator_identity():
     # the square of the generator value no longer matches.
     half = next(p for p in pattern if p.ell == 2 and not p.is_trivial)
     pattern[half] = CharValue.root(2, 1)
+    assert not check_admissible_decomposition(G, pattern)
+
+
+def _cover_patterns(p, k, r, degrees, draws):
+    """The patterns at every point of P^1(F_q), infinity included, of draws
+    sampled covers of a space."""
+    ctx, G = make_field(p, k), GroupSpec(r)
+    dv = normalize_degrees(G, degrees)
+    for cover in sample_space(ctx, G, dv, draws, seed=0):
+        yield from count_points(ctx, G, cover).points
+
+
+@pytest.mark.parametrize(
+    "p,k,r,degrees",
+    [
+        (5, 1, (2,), {(1,): 4}),
+        (7, 1, (6,), {(1,): 1, (5,): 1}),
+        (5, 1, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
+        (3, 2, (4,), {(1,): 1, (3,): 1}),
+    ],
+)
+def test_admissibility_accepts_every_point_of_real_covers(p, k, r, degrees):
+    """Ramified points and infinity too: patterns with zeros are admissible."""
+    G, ramified = GroupSpec(r), set()
+    for ev in _cover_patterns(p, k, r, degrees, 30):
+        assert check_admissible_decomposition(G, ev.pattern)
+        if any(ev.beta):
+            ramified.add(ev.x == "inf")
+    assert ramified == {False, True}  # finite and infinite branch points
+
+
+def test_admissibility_rejects_a_missing_pair():
+    G = GroupSpec((2, 2))
+    pattern = _all_ones_pattern(G)
+    del pattern[next(p for p in pattern if not p.is_trivial)]
+    assert not check_admissible_decomposition(G, pattern)
+
+
+def test_admissibility_rejects_a_value_of_the_wrong_order():
+    G = GroupSpec((4,))
+    pattern = _all_ones_pattern(G)
+    quartic = next(p for p in pattern if p.ell == 4)
+    pattern[quartic] = CharValue.root(2, 0)
+    assert not check_admissible_decomposition(G, pattern)
+
+
+def test_admissibility_rejects_a_shifted_order_six_value():
+    """On Z/6 a value of order 6 is fixed by its order-2 and order-3 parts:
+    shifting it at an unramified point of a real cover over F_7 is refused."""
+    G = GroupSpec((6,))
+    ev = next(
+        ev
+        for ev in _cover_patterns(7, 1, (6,), {(1,): 1, (5,): 1}, 5)
+        if ev.x != "inf" and not any(ev.beta)
+    )
+    sextic = next(p for p in ev.pattern if p.ell == 6)
+    pattern = dict(ev.pattern)
+    assert check_admissible_decomposition(G, pattern)
+    pattern[sextic] = CharValue.root(6, (pattern[sextic].exponent + 1) % 6)
     assert not check_admissible_decomposition(G, pattern)
 
 

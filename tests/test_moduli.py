@@ -19,7 +19,9 @@ from abelcover.errors import (
 )
 from abelcover.field import make_field
 from abelcover.groupcomb import GroupSpec
+from abelcover import moduli
 from abelcover.moduli import (
+    CoverTuple,
     _accept,
     _randbelow,
     _random_polys,
@@ -127,6 +129,24 @@ def test_superelliptic_genus():
 def test_genus_agrees_on_every_component(r, raw):
     G = GroupSpec(r)
     assert genus_invariance_check(G, normalize_degrees(G, raw))
+
+
+def test_genus_check_catches_a_component_lowered_twice(monkeypatch):
+    """A dropped component whose beta degree is lowered twice, not once,
+    changes that component's genus, and genus_invariance_check says so."""
+    G = GroupSpec((4,))
+    dv = normalize_degrees(G, {(1,): 2, (2,): 2, (3,): 2})
+    assert genus_invariance_check(G, dv)
+    real = moduli.component_degree_maps
+
+    def lowers_once_more(G, dv):
+        out = real(G, dv)
+        beta, degmap = out[1]
+        out[1] = (beta, {**degmap, beta: degmap[beta] - 1})
+        return out
+
+    monkeypatch.setattr(moduli, "component_degree_maps", lowers_once_more)
+    assert not genus_invariance_check(G, dv)
 
 
 def test_component_layout():
@@ -263,6 +283,33 @@ def test_cover_validation_rejects_shared_factors(f5):
     f = Polynomial.x_minus(f5, 1)
     with pytest.raises(MultipleVanishing):
         make_cover_tuple((1, 1), {(1, 0): f, (0, 1): f}).validate(f5, G)
+
+
+@pytest.mark.parametrize("r", [(2,), (2, 2)])
+def test_cover_validation_rejects_a_constant_other_than_one(f5, r):
+    """Every f_alpha is monic, a constant one included: y^2 = 2 is the
+    cover c = 2, f = 1, not c = 1, f = 2."""
+    G = GroupSpec(r)
+    polys = dict.fromkeys(G.nonzero_vectors(), Polynomial.one(f5))
+    make_cover_tuple((1,) * G.n, polys).validate(f5, G)
+    polys[G.nonzero_vectors()[-1]] = Polynomial(f5, [2])
+    with pytest.raises(MultipleVanishing, match="not monic"):
+        make_cover_tuple((1,) * G.n, polys).validate(f5, G)
+
+
+def test_cover_validation_wants_every_alpha_in_group_order(f5):
+    """f holds one f_alpha per nonzero alpha, in G.nonzero_vectors() order:
+    a cover that omits (1, 1), or holds the alpha in another order, fails."""
+    G = GroupSpec((2, 2))
+    f, g = Polynomial.x_minus(f5, 1), Polynomial.x_minus(f5, 2)
+    polys = {(1, 0): f, (0, 1): g, (1, 1): Polynomial.one(f5)}
+    cover = make_cover_tuple((1, 1), polys)
+    cover.validate(f5, G)
+    with pytest.raises(DimensionMismatch, match="not keyed by the nonzero alphas"):
+        make_cover_tuple((1, 1), {(1, 0): f, (0, 1): g}).validate(f5, G)
+    reordered = CoverTuple(cover.c, cover.f[::-1])
+    with pytest.raises(DimensionMismatch, match="not keyed by the nonzero alphas"):
+        reordered.validate(f5, G)
 
 
 def test_sampling_is_deterministic(f5):

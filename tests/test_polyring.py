@@ -160,7 +160,7 @@ GCD_EDGES = [(), (1,), (3,), (0, 1), (2, 0, 1)]
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(GCD_FIELDS)), st.data())
 def test_gcd_matches_plain_euclid(q, data):
-    """poly_gcd (add_scaled rows, stopping at a constant remainder) against
+    """poly_gcd (FieldCtx.divide, stopping at a constant remainder) against
     plain_gcd, with a planted common factor and zero and constant operands."""
     ctx = make_field(*GCD_FIELDS[q])
     h = rand_poly(ctx, data, max_deg=3)
