@@ -201,6 +201,10 @@ def cmd_distribution(args, config):
     if ladder is not None:
         if isinstance(ladder, str):
             ladder = json.loads(ladder)
+        if not isinstance(ladder, list):
+            raise ValueError(
+                "--ladder must be a JSON list of degree maps, not %r" % (ladder,)
+            )
         lines.append("degrees,tv_num,tv_den,tv_float")
         law = None
         for raw in ladder:

@@ -1,7 +1,7 @@
 """Group-theoretic combinatorics for G = Z/r_1 x ... x Z/r_n with r_j | r_{j+1}:
 index pairs (s, omega), ramification exponents, the sets A_beta, the orbit
-equivalence on exponent vectors, and the admissibility calculus for value
-patterns.
+equivalence on exponent vectors, and the admissibility check for value
+patterns (zero support plus one class a).
 """
 
 from __future__ import annotations
@@ -11,17 +11,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .errors import BadDivisor, BadOrder, DimensionMismatch, InternalInconsistency
+from .errors import BadDivisor, DimensionMismatch, InternalInconsistency
 from .field import CharValue
-from .numtheory import divisors, euler_phi, prime_factors  # noqa: F401 (re-exported)
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
+from .numtheory import divisors, euler_phi  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -193,82 +185,30 @@ def phi_G(G: GroupSpec, s: int) -> int:
     return sum(1 for v in G.all_vectors() if ram_exponent(G, v) == s)
 
 
-def _pair_p_part(pair: IndexPair, p: int) -> IndexPair:
-    s_p = tuple(_p_part(sj, p) for sj in pair.s)
-    omega_p = tuple(
-        wj % spj or spj for wj, spj in zip(pair.omega, s_p)
-    )
-    return IndexPair(s_p, omega_p)
-
-
 def check_admissible_decomposition(G: GroupSpec, pattern: dict) -> bool:
     """Whether a value pattern {IndexPair -> CharValue} could come from
-    evaluating a cover tuple at a point.
-
-    Checks: (a) the zero support is the complement of A_beta for some beta;
-    (b) every nonzero value factors through its prime-power parts with the
-    CRT exponents; (c) on a zero-free pattern, every value is the product of
-    the single-coordinate values raised to the omega_j.  All checks are
-    exponent-exact.
+    evaluating a cover tuple at a point: it is 0 exactly off A_beta for some
+    beta, and on A_beta each value is chi_(s,omega)(a) = zeta_ell^e for one
+    class a in G, e * (r_n/ell) = sum_j omega_j (r_n/s_j) a_j mod r_n.  The
+    exponent e is compared unreduced, so only 0 <= e < ell can match.
     """
-    pairs = enumerate_index_pairs(G)
-    if set(pattern) != set(pairs):
+    if set(pattern) != set(enumerate_index_pairs(G)):
         return False
     for pair, val in pattern.items():
         if not isinstance(val, CharValue) or val.order != pair.ell:
             return False
-        if val.is_zero and pair.is_trivial:
-            return False
-    trivial = IndexPair((1,) * G.n, (1,) * G.n)
-    if not pattern[trivial].is_one:
+    live = frozenset(pair for pair, val in pattern.items() if not val.is_zero)
+    if not any(live == a_beta(G, beta) for beta in G.all_vectors()):
         return False
-
-    zero_support = {pair for pair, val in pattern.items() if val.is_zero}
-    if not any(
-        zero_support == set(pairs) - a_beta(G, beta) for beta in G.all_vectors()
-    ):
-        return False
-
-    primes = prime_factors(G.exponent)
-    for pair, val in pattern.items():
-        if val.is_zero:
-            continue
-        ell = pair.ell
-        expected = 0
-        broken = False
-        for p in primes:
-            part = _pair_p_part(pair, p)
-            pval = pattern[part]
-            if pval.is_zero:
-                broken = True
-                break
-            ell_p = part.ell
-            # Exponent on the p-part is the inverse of the complementary
-            # cofactor ell/ell_p modulo ell_p.
-            m_p = pow(ell // ell_p, -1, ell_p) if ell_p > 1 else 1
-            expected += m_p * pval.exponent * (ell // ell_p)
-        if broken or expected % ell != val.exponent:
-            return False
-
-    if not zero_support:
-        # Every value is determined by the n generator pairs (order r_j in
-        # coordinate j alone).  Compare exponents inside mu_{r_n}.
-        r_n = G.exponent
-        gens = [
-            pattern[
-                IndexPair(
-                    tuple(G.r[j] if i == j else 1 for i in range(G.n)),
-                    (1,) * G.n,
-                )
-            ]
-            for j in range(G.n)
-        ]
-        for pair, val in pattern.items():
-            ell = pair.ell
-            expected = sum(
-                wj * (r_n // sj) * gens[j].exponent
-                for j, (sj, wj) in enumerate(zip(pair.s, pair.omega))
-            )
-            if expected % r_n != val.exponent * (r_n // ell) % r_n:
-                return False
-    return True
+    r_n = G.exponent
+    rows = [
+        (pattern[pair].exponent * (r_n // pair.ell), pair.s, pair.omega)
+        for pair in live
+    ]
+    return any(
+        all(
+            e == sum(wj * (r_n // sj) * aj for sj, wj, aj in zip(s, omega, a)) % r_n
+            for e, s, omega in rows
+        )
+        for a in G.all_vectors()
+    )

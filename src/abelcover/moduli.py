@@ -108,11 +108,11 @@ def normalize_degrees(G: GroupSpec, raw: Mapping) -> DegreeVector:
     """
     degrees = alpha_map(G, raw, 0)
     for alpha, d in degrees.items():
-        if not isinstance(d, int):
+        if type(d) is not int:
             raise ValueError(f"degree {d!r} is not an integer")
         if d < 0:
             raise ValueError(f"degree of {alpha} must be non-negative, not {d}")
-    dv = DegreeVector(G, tuple(sorted((a, int(d)) for a, d in degrees.items())))
+    dv = DegreeVector(G, tuple(sorted(degrees.items())))
     for j, (dj, rj) in enumerate(zip(dv.d_vec, G.r), start=1):
         if dj % rj:
             raise CongruenceViolation(j, dj, rj)

@@ -196,6 +196,19 @@ def test_distribution_ladder(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("ladder", ["5", '{"1": 4}'])
+def test_distribution_ladder_must_be_a_list(tmp_path, capsys, ladder):
+    message = "error: --ladder must be a JSON list of degree maps, not %r\n" % (
+        json.loads(ladder),
+    )
+    code, out, err = run(capsys, "distribution", "--p", "5", "--r", "2", "--ladder", ladder)
+    assert (code, out, err) == (2, "", message)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 5, "r": [2], "ladder": json.loads(ladder)}))
+    code, out, err = run(capsys, "--config", str(cfg), "distribution")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_distribution_sample_mode(capsys):
     code, out, _ = run(
         capsys,
@@ -430,6 +443,14 @@ def test_genus_rejects_a_degree_that_is_not_an_integer(capsys):
     code, _, err = run(capsys, "genus", "--r", "2", "--degrees", '{"1": "x"}')
     assert code == 2
     assert "not an integer" in err
+
+
+@pytest.mark.parametrize("command", ["genus", "distribution"])
+def test_a_bool_degree_is_not_an_integer(capsys, command):
+    code, out, err = run(
+        capsys, command, "--p", "7", "--r", "3", "--degrees", '{"1": true, "2": true}'
+    )
+    assert (code, out, err) == (2, "", "error: degree True is not an integer\n")
 
 
 def test_count_rejects_f_that_is_not_a_map(capsys):

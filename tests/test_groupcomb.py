@@ -1,5 +1,6 @@
 """Tests for the index-pair combinatorics of divisor-chain groups."""
 
+import itertools
 import math
 
 import pytest
@@ -198,6 +199,7 @@ def _cover_patterns(p, k, r, degrees, draws):
         (7, 1, (6,), {(1,): 1, (5,): 1}),
         (5, 1, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
         (3, 2, (4,), {(1,): 1, (3,): 1}),
+        (7, 1, (6,), {(1,): 1, (2,): 1, (3,): 1}),
     ],
 )
 def test_admissibility_accepts_every_point_of_real_covers(p, k, r, degrees):
@@ -239,6 +241,46 @@ def test_admissibility_rejects_a_shifted_order_six_value():
     assert check_admissible_decomposition(G, pattern)
     pattern[sextic] = CharValue.root(6, (pattern[sextic].exponent + 1) % 6)
     assert not check_admissible_decomposition(G, pattern)
+
+
+@pytest.mark.parametrize("r", [(2,), (3,), (4,), (2, 2), (6,)])
+def test_admissibility_accepts_one_pattern_per_beta_class_and_class_a(r):
+    """Over every pattern with reduced exponents, the accepted ones are the
+    |G|/e(beta) restrictions of the characters to A_beta, per beta-class."""
+    G = GroupSpec(r)
+    pairs = enumerate_index_pairs(G)
+    values = [
+        [CharValue.zero(p.ell)] + [CharValue.root(p.ell, e) for e in range(p.ell)]
+        for p in pairs
+    ]
+    accepted = sum(
+        check_admissible_decomposition(G, dict(zip(pairs, vals)))
+        for vals in itertools.product(*values)
+    )
+    assert accepted == sum(G.size // c.e for c in beta_classes(G))
+
+
+def test_admissibility_rejects_unrelated_values_at_a_branch_point():
+    """Z/6 at a root of f_3: A_3 holds the trivial pair and the two order-3
+    pairs, whose values are zeta_3^a and zeta_3^(2a) for one class a."""
+    G = GroupSpec((6,))
+    pattern = {p: CharValue.zero(p.ell) for p in enumerate_index_pairs(G)}
+    pattern[IndexPair((1,), (1,))] = CharValue.root(1, 0)
+    pattern[IndexPair((3,), (1,))] = CharValue.root(3, 1)
+    pattern[IndexPair((3,), (2,))] = CharValue.root(3, 2)
+    assert check_admissible_decomposition(G, pattern)
+    pattern[IndexPair((3,), (2,))] = CharValue.root(3, 1)
+    assert not check_admissible_decomposition(G, pattern)
+
+
+@pytest.mark.parametrize("r", [(2,), (4,), (6,), (2, 2)])
+def test_admissibility_rejects_unreduced_exponents(r):
+    G = GroupSpec(r)
+    for pair in enumerate_index_pairs(G):
+        for exponent in (pair.ell, pair.ell + 1, -1):
+            pattern = _all_ones_pattern(G)
+            pattern[pair] = CharValue(pair.ell, exponent)
+            assert not check_admissible_decomposition(G, pattern)
 
 
 @settings(max_examples=40, deadline=None)

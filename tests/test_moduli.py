@@ -76,6 +76,14 @@ def test_negative_degree_names_its_alpha():
     assert str(exc.value) == "degree of (0, 1) must be non-negative, not -2"
 
 
+@pytest.mark.parametrize("d", [True, False, 2.0])
+def test_degree_must_be_an_int(d):
+    G = GroupSpec((2,))
+    with pytest.raises(ValueError) as exc:
+        normalize_degrees(G, {(1,): d})
+    assert str(exc.value) == "degree %r is not an integer" % (d,)
+
+
 def test_bad_index_vectors_rejected():
     G = GroupSpec((2,))
     with pytest.raises(DimensionMismatch):
