@@ -30,6 +30,7 @@ from fractions import Fraction
 from . import field as field_mod
 from . import polyring
 from .counting import (
+    check_order,
     count_points,
     oracle_count,
     space_count_histogram,
@@ -109,11 +110,16 @@ def _int_list(value, what):
 
 
 def _build_context(args, config):
+    """The field and the group, checked for exp(G) | q-1 before any alpha
+    map of the group is built."""
     p = _pick(args, config, "p")
     if p is None:
         raise ValueError("missing --p (field characteristic)")
     k = _pick(args, config, "k", 1)
-    return field_mod.make_field(_int(p, "--p"), _int(k, "--k"))
+    ctx = field_mod.make_field(_int(p, "--p"), _int(k, "--k"))
+    group = _build_group(args, config)
+    check_order(group, ctx.q)
+    return ctx, group
 
 
 def _build_group(args, config):
@@ -157,8 +163,7 @@ def cmd_genus(args, config):
 
 
 def cmd_count(args, config):
-    ctx = _build_context(args, config)
-    group = _build_group(args, config)
+    ctx, group = _build_context(args, config)
     raw_f = _pick_json(args, config, "f", "branch polynomials")
     c = _pick_json(args, config, "c", "leading unit vector")
     # Keys are read as --degrees reads them; an unmentioned alpha gets f = 1.
@@ -186,8 +191,7 @@ def _histogram_for(ctx, group, dv, mode, draws, seed):
 
 
 def cmd_distribution(args, config):
-    ctx = _build_context(args, config)
-    group = _build_group(args, config)
+    ctx, group = _build_context(args, config)
     mode = _pick(args, config, "mode", "enumerate")
     if mode not in ("enumerate", "sample"):
         raise ValueError("mode must be enumerate or sample, not %r" % (mode,))

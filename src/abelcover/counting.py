@@ -17,20 +17,24 @@ unramified points.
 Inside this module a pair is its position in enumerate_index_pairs(G), and
 an f_alpha its position in G.nonzero_vectors(), the alpha order that
 CoverTuple.validate demands; IndexPair keys appear only in a
-PointEvaluation's pattern, which is built on first read.  The key of f at x
-is 0 where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every ell.
-The key -> state rule (_point_state) maps the key vector of the f_alpha at x
-to the point state (beta_x, {position: exponent or None}): the vanishing
+PointEvaluation's pattern, which is built on first read.  Everything counting
+needs of a group is one character table, chi = {v: pair_weight(pair, v)
+per position} over v in G, held in one memo, _plan(r), which holds no field:
+its rows at the nonzero alpha are the exponents e_alpha, its zeros at beta
+are A_beta, its row at the class of the leading units is their c-part, and
+its row at -d_vec gives the state at infinity.  The key of f at x is 0
+where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every ell.
+The key -> state rule (_point_state) maps the key vector of the f_alpha at
+x to the point state (beta_x, {position: exponent or None}): the vanishing
 alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor
-vanishes, e_alpha = pair_weight(pair, alpha).  The one count rule,
-_count_above, adds the c-part pair_weight(pair, dlog c) of the class
-(dlog c_j mod r_j)_j of the leading units to a state and applies the
-dichotomy.  What these rules need of a group is held in one memo, _plan(r),
-which holds no field.  count_points (and eval_at) find the keys from the
-values of each f_alpha at every x (FieldCtx.values) and their dlogs.  The
-one walk, space_count_histogram, takes each coordinate from the coprime walk
-as its row of a per-degree key table and counts once per key vector and
-class of leading units.  space_pattern_histogram is counted, not walked.
+vanishes.  Each distinct key vector's state is checked once, where it is
+made (_checked_state): its None entries must lie exactly off A_beta.  The
+one count rule, _count_above, adds the c-part to a state and applies the
+dichotomy.  count_points (and eval_at) find the keys from the values of
+each f_alpha at every x (FieldCtx.values) and their dlogs.  The one walk,
+space_count_histogram, takes each coordinate from the coprime walk as its
+row of a per-degree key table and counts once per key vector and class of
+leading units.  space_pattern_histogram is counted, not walked.
 """
 
 from __future__ import annotations
@@ -49,12 +53,7 @@ from .errors import (
 )
 from .field import CharValue, FieldCtx
 from .groupcomb import (
-    GroupSpec,
-    IndexPair,
-    a_beta,
-    class_of,
-    enumerate_index_pairs,
-    pair_weight,
+    GroupSpec, IndexPair, class_of, enumerate_index_pairs, pair_weight
 )
 from .moduli import CoverTuple, DegreeVector, component_degree_maps, d_vec, space_tuples
 from .numtheory import divisors
@@ -179,38 +178,19 @@ def _divmod_z(num: list[int], den: tuple) -> tuple[list[int], list[int]]:
     return quo, rem[:dd]
 
 
-def _cyclotomic_consistent(values, count: int, r_n: int) -> bool:
-    """Whether the exact sum of the root-of-unity values equals count, i.e.
+def _cyclotomic_consistent(plan: _Plan, exps: dict, c_part: tuple, count: int) -> bool:
+    """Whether the exact sum of the values at a point, zeta_ell^(a + c) at
+    each position with an exponent a (c its c-part), equals count, i.e.
     sum zeta^(e_i) - count = 0 in Z[zeta_{r_n}]."""
+    r_n = plan.G.exponent
     vec = [0] * r_n
-    for v in values:
-        if not v.is_zero:
-            vec[v.exponent * (r_n // v.order) % r_n] += 1
+    for a, c, (ell, _) in zip(exps.values(), c_part, plan.table):
+        if a is not None:
+            vec[(a + c) % ell * (r_n // ell)] += 1
     vec[0] -= count
     if not any(vec):
         return True
     return not any(_divmod_z(vec, _cyclotomic_poly(r_n))[1])
-
-
-def _supports(G: GroupSpec) -> dict:
-    """{beta: (A_beta as (position, ell) entries, one flag per position)}
-    for every beta; a flag is True where the pair is not in A_beta, i.e.
-    where its value is 0 at a root of f_beta."""
-    pairs = enumerate_index_pairs(G)
-    out = {}
-    for beta in G.all_vectors():
-        surviving = a_beta(G, beta)
-        out[beta] = (
-            tuple((i, pair.ell) for i, pair in enumerate(pairs) if pair in surviving),
-            tuple(pair not in surviving for pair in pairs),
-        )
-    return out
-
-
-@lru_cache(maxsize=None)
-def _char_values(ell: int) -> tuple:
-    """The values of an order-ell character: 0, then zeta^0, ..., zeta^(ell-1)."""
-    return (CharValue.zero(ell), *(CharValue.root(ell, e) for e in range(ell)))
 
 
 def _count_above(surviving: tuple, exps: dict, b: tuple) -> int:
@@ -235,47 +215,34 @@ def count_points(
     ctx: FieldCtx, G: GroupSpec, t: CoverTuple, check: bool = True
 ) -> PointCountReport:
     """Point count over every x in P^1(F_q) plus the total and Tr(Frob_q).
-    Raises InternalInconsistency where the zero support of a pattern is not
-    the complement of A_beta or, with check=True, where the exact cyclotomic
-    sum of the pattern values disagrees with the A_beta dichotomy.  Each
-    point's pattern is built on first read; with check=True its values are
-    computed at once, for the cyclotomic sum."""
-    _check_order(G, ctx.q)
+    Raises InternalInconsistency where the zero support of a point state is
+    not the complement of A_beta or, with check=True, where the exact
+    cyclotomic sum of its values disagrees with the A_beta dichotomy.  Each
+    point's pattern is built on first read."""
+    check_order(G, ctx.q)
     plan = _plan(G.r)
-    c_part = plan.c_parts[tuple(map(int.__mod__, map(ctx.dlog, t.c), G.r))]
+    c_part = plan.chi[tuple(map(int.__mod__, map(ctx.dlog, t.c), G.r))]
     data = _component_point_data(ctx, G, t.polys())
     points = []
     for x, (beta, exps) in zip([*range(ctx.q), INFINITY], data):
-        surviving, vanishing = plan.supports[beta]
-        if tuple(a is None for a in exps.values()) != vanishing:
+        count = _count_above(plan.supports[beta], exps, c_part)
+        if check and not _cyclotomic_consistent(plan, exps, c_part, count):
             raise InternalInconsistency(
-                f"vanishing pattern at x={x} is not [beta]-admissible"
+                f"cyclotomic sum disagrees with dichotomy count at x={x}"
             )
-        count = _count_above(surviving, exps, c_part)
-        if check:
-            values = _values(plan, exps, c_part)
-            if not _cyclotomic_consistent(values, count, G.exponent):
-                raise InternalInconsistency(
-                    f"cyclotomic sum disagrees with dichotomy count at x={x}"
-                )
         pattern = partial(_pattern, plan, exps, c_part)
         points.append(PointEvaluation(x, beta, pattern, count))
     total = sum(pt.count for pt in points)
     return PointCountReport(points, total, ctx.q + 1 - total)
 
 
-def _values(plan: _Plan, exps: dict, c_part: tuple) -> list:
-    """The CharValue of every pair position at a point with exponents exps
-    (None where the value is 0) and the c-part c_part."""
-    return [
-        chi[0] if a is None else chi[1 + (a + c) % ell]
-        for a, c, (ell, chi) in zip(exps.values(), c_part, plan.rows)
-    ]
-
-
 def _pattern(plan: _Plan, exps: dict, c_part: tuple) -> dict:
-    """A point's pattern {IndexPair: CharValue}."""
-    return dict(zip(plan.pairs, _values(plan, exps, c_part)))
+    """A point's pattern {IndexPair: CharValue}, from its exponents exps
+    (None where the value is 0) and the c-part c_part."""
+    return {
+        pair: CharValue(ell, None if a is None else (a + c) % ell)
+        for pair, a, c, (ell, _) in zip(plan.pairs, exps.values(), c_part, plan.table)
+    }
 
 
 def oracle_count(ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x: int) -> int:
@@ -300,16 +267,6 @@ def _point_index(ctx: FieldCtx, x) -> int:
     if x not in range(ctx.q):
         raise DimensionMismatch(f"{x!r} is not a point of P^1(F_{ctx.q})")
     return x
-
-
-def _exponent_table(G: GroupSpec) -> tuple:
-    """(ell, ((i, e_alpha) for every e_alpha != 0)) per pair position, i
-    the position of alpha in G.nonzero_vectors()."""
-    table = []
-    for pair in enumerate_index_pairs(G):
-        exps = enumerate(pair_weight(pair, a) for a in G.nonzero_vectors())
-        table.append((pair.ell, tuple((i, e) for i, e in exps if e)))
-    return tuple(table)
 
 
 def _key_table(ctx: FieldCtx, E: int, d: int):
@@ -364,8 +321,8 @@ def _point_state(plan: _Plan, keys: tuple, x) -> tuple:
 
 
 def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
-    """The point states (_point_state) at 0, ..., q-1, then the state at
-    INFINITY (_infinity_state), without the c-part, for one cover: the keys
+    """The point states (_checked_state) at 0, ..., q-1, then the state at
+    INFINITY (_Plan.infinity_state), without the c-part, for one cover: the keys
     come from the values of each f_alpha at every x (FieldCtx.values) and
     their dlogs.  polys is read in G.nonzero_vectors() order; keyed by other
     alphas, it raises DimensionMismatch."""
@@ -376,61 +333,66 @@ def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
     key = [0, *(1 + ctx.dlog(v) % E for v in range(1, ctx.q))]
     keys = [list(map(key.__getitem__, ctx.values(f.coeffs))) for f in fs]
     data = [
-        memo.get(k) or memo.setdefault(k, _point_state(plan, k, x))
+        memo.get(k) or memo.setdefault(k, _checked_state(plan, k, x))
         for x, k in enumerate(zip(*keys))
     ]
     data.append(plan.infinity_state(tuple(max(f.degree, 0) for f in fs)))
     return data
 
 
-def _infinity_state(G: GroupSpec, degrees: tuple) -> tuple:
-    """The state at infinity for the f_alpha degrees, in alpha order: beta =
-    -d_vec, the exponent 0, or None where pair_weight(pair, d_vec) != 0."""
-    d = d_vec(G, dict(zip(G.nonzero_vectors(), degrees)))
-    beta = tuple(-dj % rj for dj, rj in zip(d, G.r))
-    pairs = enumerate_index_pairs(G)
-    return beta, {i: None if pair_weight(pair, d) else 0 for i, pair in enumerate(pairs)}
+def _checked_state(plan: _Plan, keys: tuple, x) -> tuple:
+    """_point_state, refused where its None entries are not exactly the
+    positions off A_beta (those where chi at beta is nonzero)."""
+    beta, exps = state = _point_state(plan, keys, x)
+    if [a is None for a in exps.values()] != list(map(bool, plan.chi[beta])):
+        raise InternalInconsistency(
+            f"vanishing pattern at x={x} is not [beta]-admissible"
+        )
+    return state
 
 
-def _check_order(G: GroupSpec, q: int) -> None:
+def check_order(G: GroupSpec, q: int) -> None:
     """Every counting path calls this before it counts: it rejects a group
     whose exponent does not divide q-1 (no characters of that order exist)."""
     if (q - 1) % G.exponent:
         raise BadOrder(f"exp(G) = {G.exponent} does not divide q-1 = {q - 1}")
 
 
-def _c_parts(G: GroupSpec) -> dict:
-    """{class (dlog c_j mod r_j)_j: dlog c_(s)^(omega) mod ell per pair
-    position} over the |G| classes of leading units c (s_j | r_j, so only
-    the class of c matters)."""
-    pairs, classes = enumerate_index_pairs(G), itertools.product(*map(range, G.r))
-    return {a: tuple(pair_weight(pair, a) for pair in pairs) for a in classes}
-
-
 class _Plan:
     """What counting needs of a group G, besides the field: its nonzero
     alphas in the one order every cover holds them (alphas); the index
-    pairs; per position the order ell and its character values (rows); the
-    exponent table; the supports; the c-part of each class of leading
-    units; and the states at infinity, built per degrees on first use."""
+    pairs; the character table chi = {v: pair_weight(pair, v) per position}
+    over v in G, whose row at a class of leading units is their c-part; and
+    read from chi, the exponent table (per position, ell and every (i,
+    e_alpha != 0), i the position of alpha), the supports ({beta: the
+    (position, ell) of A_beta}) and the states at infinity, built per
+    degrees on first use."""
 
-    __slots__ = (
-        "G", "alphas", "pairs", "rows", "table", "supports", "c_parts", "_infinity"
-    )
+    __slots__ = ("G", "alphas", "pairs", "chi", "table", "supports", "_infinity")
 
     def __init__(self, G: GroupSpec):
         self.G, self.alphas = G, tuple(G.nonzero_vectors())
-        self.pairs = enumerate_index_pairs(G)
-        self.table = _exponent_table(G)
-        self.rows = [(ell, _char_values(ell)) for ell, _ in self.table]
-        self.supports = _supports(G)
-        self.c_parts = _c_parts(G)
-        self._infinity: dict = {}
+        self.pairs = pairs = enumerate_index_pairs(G)
+        chi = {v: tuple(pair_weight(p, v) for p in pairs) for v in G.all_vectors()}
+        rows, ells = [chi[alpha] for alpha in self.alphas], [p.ell for p in pairs]
+        self.table = tuple(
+            (ell, tuple((i, row[pos]) for i, row in enumerate(rows) if row[pos]))
+            for pos, ell in enumerate(ells)
+        )
+        self.supports = {
+            beta: tuple((pos, ell) for pos, ell in enumerate(ells) if not row[pos])
+            for beta, row in chi.items()
+        }
+        self.chi, self._infinity = chi, {}
 
     def infinity_state(self, degrees: tuple) -> tuple:
-        """_infinity_state where f_(alphas[i]) has degree degrees[i]."""
+        """The state at infinity where f_(alphas[i]) has degree degrees[i]:
+        beta = -d_vec, the exponent 0, or None where chi at beta is nonzero."""
         if degrees not in self._infinity:
-            self._infinity[degrees] = _infinity_state(self.G, degrees)
+            d = d_vec(self.G, dict(zip(self.alphas, degrees)))
+            beta = tuple(-dj % rj for dj, rj in zip(d, self.G.r))
+            exps = {pos: None if e else 0 for pos, e in enumerate(self.chi[beta])}
+            self._infinity[degrees] = beta, exps
         return self._infinity[degrees]
 
 
@@ -459,14 +421,14 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
         return key_tables[d][code * q : code * q + q]
 
     tuples = space_tuples(ctx, G, dv, key_row)
-    _check_order(G, q)
+    check_order(G, q)
     plan = _plan(G.r)
-    classes, supports = list(plan.c_parts.values()), plan.supports
+    classes, supports = list(plan.chi.values()), plan.supports
     bits = (G.size * (q + 1)).bit_length()
     rows: dict = {}
 
     def pack(state):
-        counts = (_count_above(supports[state[0]][0], state[1], b) for b in classes)
+        counts = (_count_above(supports[state[0]], state[1], b) for b in classes)
         return sum(n << k * bits for k, n in enumerate(counts))
 
     def finite(coords):
@@ -474,7 +436,8 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
             return sum(map(rows.__getitem__, zip(*coords)))
         except KeyError:
             for y, keys in enumerate(zip(*coords)):
-                rows[keys] = pack(_point_state(plan, keys, y))
+                if keys not in rows:
+                    rows[keys] = pack(_checked_state(plan, keys, y))
             return finite(coords)
 
     tally = Counter((tag, finite(p.values())) for tag, p in tuples)
@@ -498,7 +461,7 @@ def space_pattern_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, x) ->
     one.  At infinity a component's covers all have beta = -d_vec, its tag."""
     q, zero, hist = ctx.q, (0,) * G.n, Counter()
     finite, units = _point_index(ctx, x) < q, (q - 1) ** G.n
-    _check_order(G, q)
+    check_order(G, q)
     for tag, degmap in component_degree_maps(G, dv):
         if not finite:
             vanishing = [(tag or zero, count_coprime_tuples(q, degmap.values()))]

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all abelcover modules."""
 
+from math import log10
+
 
 class AbelCoverError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,7 +57,11 @@ class NegativeGenus(AbelCoverError):
 
 class BudgetExceeded(AbelCoverError):
     def __init__(self, size, budget):
-        super().__init__(f"space size {size} exceeds budget {budget}")
+        shown = size
+        if size.bit_length() > 14000:  # str() refuses ints of over 4,300 digits
+            digits = int((size.bit_length() - 1) * log10(2)) + 1
+            shown = f"of {digits + (size >= 10**digits)} digits"
+        super().__init__(f"space size {shown} exceeds budget {budget}")
         self.size = size
         self.budget = budget
 

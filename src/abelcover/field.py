@@ -95,13 +95,14 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, k: int):
-        if prime_factors(p) != [p]:
-            raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise TooLarge(f"k must be positive, got {k}")
+        # Size first, with no huge p**k: trial division of a large p is slow.
+        if p > 1 and (k > TABLE_BUDGET.bit_length() - 1 or p**k > TABLE_BUDGET):
+            raise TooLarge(f"q = {p}^{k} exceeds table budget {TABLE_BUDGET}")
+        if prime_factors(p) != [p]:
+            raise NotPrime(f"{p} is not prime")
         q = p**k
-        if q > TABLE_BUDGET:
-            raise TooLarge(f"q = {q} exceeds table budget {TABLE_BUDGET}")
         self.p = p
         self.k = k
         self.q = q

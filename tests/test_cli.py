@@ -162,6 +162,37 @@ def test_distribution_csv(capsys):
     assert out2 == out
 
 
+def test_distribution_budget_names_a_huge_size_by_its_digits(capsys, monkeypatch):
+    """Z/2 over F_5 at d = 8,000 has a size of 5,593 digits, too long for
+    str(): the budget error names its digit count and exits 2."""
+    monkeypatch.setenv("ABCOVER_BUDGET", "1000")
+    got, out, err = run(
+        capsys, "distribution", "--p", "5", "--r", "2", "--degrees", '{"1": 8000}'
+    )
+    assert (got, out) == (2, "")
+    assert err == "error: space size of 5593 digits exceeds budget 1000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--c", "[1, 1]", "--f", '{"1,1": [1]}'],
+        ["distribution", "--degrees", '{"1,1": 2}'],
+    ],
+)
+def test_group_order_is_checked_before_any_alpha_map(capsys, monkeypatch, argv):
+    """exp(G) = 6 does not divide q - 1 = 4: count and distribution refuse
+    the group before they build a map over its nonzero alpha."""
+
+    def refused(_group):
+        raise AssertionError("an alpha map was built before the order check")
+
+    monkeypatch.setattr(GroupSpec, "nonzero_vectors", refused)
+    code, out, err = run(capsys, argv[0], "--p", "5", "--r", "2,6", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: exp(G) = 6 does not divide q-1 = 4\n"
+
+
 @pytest.mark.parametrize(
     "budget,code,message",
     [

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -39,6 +40,7 @@ from abelcover.groupcomb import (
     a_beta,
     class_of,
     enumerate_index_pairs,
+    pair_weight,
     ram_exponent,
 )
 from abelcover.moduli import (
@@ -167,6 +169,72 @@ def test_zero_support_check_fires(f5, monkeypatch, r):
     for check in (True, False):
         with pytest.raises(InternalInconsistency, match=r"not \[beta\]-admissible"):
             count_points(f5, G, t, check=check)
+    dv = normalize_degrees(G, {(1,) * G.n: 2})
+    with pytest.raises(InternalInconsistency, match=r"not \[beta\]-admissible"):
+        space_count_histogram(f5, G, dv)
+
+
+def _divisor_chains(bound):
+    """Every r = (r_1, ..., r_n), r_j >= 2, r_j | r_{j+1}, with |G| <= bound;
+    the list grows as it is walked, one factor longer each time."""
+    chains = [(r,) for r in range(2, bound + 1)]
+    for r in chains:
+        chains += [(*r, m) for m in range(r[-1], bound + 1, r[-1])
+                   if math.prod(r) * m <= bound]
+    return chains
+
+
+def test_plan_reads_every_group_rule_from_one_character_table():
+    """For every group of order at most 16, the plan's character table,
+    exponent table and supports are pair_weight and a_beta, position by
+    position."""
+    chains = _divisor_chains(16)
+    assert len(chains) == 15 + 6 + 2 + 1  # cyclic, two, three and four factors
+    for r in chains:
+        G, plan = GroupSpec(r), counting._plan(r)
+        pairs = enumerate_index_pairs(G)
+        assert plan.pairs == pairs and plan.alphas == tuple(G.nonzero_vectors())
+        assert plan.chi == {
+            v: tuple(pair_weight(pair, v) for pair in pairs) for v in G.all_vectors()
+        }
+        assert plan.table == tuple(
+            (pair.ell, tuple(
+                (i, pair_weight(pair, a))
+                for i, a in enumerate(G.nonzero_vectors()) if pair_weight(pair, a)
+            ))
+            for pair in pairs
+        )
+        for beta in G.all_vectors():
+            surviving = plan.supports[beta]
+            assert [pairs[i] for i, _ in surviving] == [
+                pair for pair in pairs if pair in a_beta(G, beta)
+            ]
+            assert all(ell == pairs[i].ell for i, ell in surviving)
+
+
+@pytest.mark.parametrize(
+    "r,degrees",
+    [
+        ((2,), {(1,): 3}),
+        ((3,), {(1,): 1, (2,): 2}),
+        ((3,), {(1,): 2, (2,): 2}),
+        ((4,), {(1,): 1, (3,): 1, (2,): 2}),
+        ((6,), {(1,): 1, (2,): 1, (3,): 1}),
+        ((2, 2), {(1, 0): 1, (0, 1): 2, (1, 1): 1}),
+        ((2, 4), {(1, 1): 1, (0, 2): 3, (1, 3): 2}),
+    ],
+)
+def test_plan_infinity_state_is_the_row_at_minus_d_vec(r, degrees):
+    """At infinity beta = -d_vec, and a pair reads None exactly where
+    pair_weight(pair, d_vec) != 0, else the exponent 0."""
+    G, plan = GroupSpec(r), counting._plan(r)
+    d = d_vec(G, degrees)
+    beta, exps = plan.infinity_state(tuple(degrees.get(a, 0) for a in plan.alphas))
+    assert beta == tuple(-dj % rj for dj, rj in zip(d, r))
+    assert exps == {
+        i: None if pair_weight(pair, d) else 0
+        for i, pair in enumerate(enumerate_index_pairs(G))
+    }
 
 
 def test_oracle_refuses_branch_points(f5):

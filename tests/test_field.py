@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abelcover
+from abelcover import field as field_mod
 from abelcover.errors import BadOrder, NotPrime, TooLarge
 from abelcover.field import CharValue, character, make_field
 from abelcover.numtheory import prime_factors
@@ -41,6 +42,25 @@ def test_rejects_composite_characteristic():
 def test_rejects_oversized_tables():
     with pytest.raises(TooLarge):
         make_field(2, 40)
+
+
+def test_size_is_checked_without_forming_a_huge_power():
+    """2^30,000,000 has over 4,300 digits; the error names p and k."""
+    with pytest.raises(TooLarge, match=r"^q = 2\^30000000 exceeds table budget 65536$"):
+        make_field(2, 30_000_000)
+
+
+def test_size_is_checked_before_primality(monkeypatch):
+    """A prime above 2^16 is refused by size, with no trial division."""
+
+    def spy(n):
+        raise AssertionError(f"prime_factors({n}) called before the size check")
+
+    monkeypatch.setattr(field_mod, "prime_factors", spy)
+    with pytest.raises(TooLarge, match=r"^q = 1000000000039\^1 exceeds"):
+        make_field(1_000_000_000_039)
+    with pytest.raises(TooLarge, match=r"^q = 257\^2 exceeds"):
+        make_field(257, 2)
 
 
 @pytest.mark.parametrize("k", [0, -1])
