@@ -27,14 +27,17 @@ where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every ell.
 The key -> state rule (_point_state) maps the key vector of the f_alpha at
 x to the point state (beta_x, {position: exponent or None}): the vanishing
 alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor
-vanishes.  Each distinct key vector's state is checked once, where it is
-made (_checked_state): its None entries must lie exactly off A_beta.  The
-one count rule, _count_above, adds the c-part to a state and applies the
-dichotomy.  count_points (and eval_at) find the keys from the values of
-each f_alpha at every x (FieldCtx.values) and their dlogs.  The one walk,
-space_count_histogram, takes each coordinate from the coprime walk as its
-row of a per-degree key table and counts once per key vector and class of
-leading units.  space_pattern_histogram is counted, not walked.
+vanishes.  Each state is checked where it is made (_checked_state): its
+None entries must lie exactly off A_beta.  The one count rule,
+_count_above, adds the c-part to a state and applies the dichotomy.
+count_points (and eval_at) find the keys from the values of each f_alpha at
+every x (FieldCtx.values) and their dlogs.  The one walk,
+space_count_histogram, reads the keys from per-degree key tables and sums
+per tuple one packed count row (all classes of leading units) per point:
+the coprime walk hands it the innermost coordinate's codes at once, and,
+the other coordinates fixed, the row at x is a lookup by one entry of
+column x of that coordinate's table, so no Python step runs per tuple.
+space_pattern_histogram is counted, not walked.
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ from .field import CharValue, FieldCtx
 from .groupcomb import (
     GroupSpec, IndexPair, class_of, enumerate_index_pairs, pair_weight
 )
-from .moduli import CoverTuple, DegreeVector, component_degree_maps, d_vec, space_tuples
+from .moduli import (
+    CoverTuple, DegreeVector, component_degree_maps, d_vec, space_components
+)
 from .numtheory import divisors
-from .polyring import Polynomial, count_coprime_tuples
+from .polyring import Polynomial, count_coprime_tuples, enumerate_coprime_tuples
 
 INFINITY = "inf"
 
@@ -274,18 +279,18 @@ def _key_table(ctx: FieldCtx, E: int, d: int):
     entry code * q + x is 0 where f(x) = 0, else 1 + dlog f(x) mod E, for the
     f of base-q code a_0 + a_1 q + ...  Per x the values over all codes are
     built digit by digit, a_i x^i shifting copies of the previous block, with
-    no Horner evaluation.  bytes, or an array of unsigned shorts once
-    E >= 255."""
+    no Horner evaluation, and written to its column.  bytes, or an array
+    of unsigned shorts once E >= 255."""
     q = ctx.q
     key = [0] + [1 + ctx.dlog(v) % E for v in range(1, q)]
     shift = [[ctx.add(v, s) for v in range(q)] for s in range(q)]
     if E < 255:
-        store = bytes
+        store, table = bytes, bytearray(q ** (d + 1))
     else:  # loaded only here: the array module adds to every process's memory
         from array import array
 
         store = partial(array, "H")
-    columns = []
+        table = store(itertools.repeat(0, q ** (d + 1)))
     for x in range(q):
         values = [0]  # of the non-leading part, over the codes so far
         for i in range(d):
@@ -293,8 +298,8 @@ def _key_table(ctx: FieldCtx, E: int, d: int):
             blocks = (map(shift[ctx.mul(a, xi)].__getitem__, values) for a in range(q))
             values = list(itertools.chain.from_iterable(blocks))
         lead = shift[ctx.pow(x, d)]
-        columns.append(store(map([key[v] for v in lead].__getitem__, values)))
-    return store(itertools.chain.from_iterable(zip(*columns)))
+        table[x::q] = store(map([key[v] for v in lead].__getitem__, values))
+    return bytes(table) if E < 255 else table
 
 
 def _point_state(plan: _Plan, keys: tuple, x) -> tuple:
@@ -411,43 +416,56 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
     every enumerated tuple would give it.  The c-block runs over the |G|
     classes of leading units, each weighted (q-1)^n/|G|.  A state's counts
     for all classes are packed into one integer, class k in bits k*b to
-    k*b+b-1 (b bits hold a total, at most |G|(q+1)), and a tuple's finite
-    total is one sum of the packed rows of its key vectors."""
-    q, key_tables = ctx.q, {}
-
-    def key_row(d, code):
-        if d not in key_tables:
-            key_tables[d] = _key_table(ctx, G.exponent, d)
-        return key_tables[d][code * q : code * q + q]
-
-    tuples = space_tuples(ctx, G, dv, key_row)
+    k*b+b-1 (b bits hold a total, at most |G|(q+1)); a tuple's total is one
+    sum of the packed rows of its points, which the coprime walk's _each hook
+    (totals) reads per x from a Column by the innermost coordinate's key."""
+    q, key_table = ctx.q, lru_cache(maxsize=None)(partial(_key_table, ctx, G.exponent))
+    components = space_components(ctx, G, dv)
     check_order(G, q)
     plan = _plan(G.r)
     classes, supports = list(plan.chi.values()), plan.supports
     bits = (G.size * (q + 1)).bit_length()
-    rows: dict = {}
 
     def pack(state):
         counts = (_count_above(supports[state[0]], state[1], b) for b in classes)
         return sum(n << k * bits for k, n in enumerate(counts))
 
-    def finite(coords):
-        try:
-            return sum(map(rows.__getitem__, zip(*coords)))
-        except KeyError:
-            for y, keys in enumerate(zip(*coords)):
-                if keys not in rows:
-                    rows[keys] = pack(_checked_state(plan, keys, y))
-            return finite(coords)
+    class Column(dict):
+        """Packed rows by the key at slot; at = (slot, *the other keys)."""
 
-    tally = Counter((tag, finite(p.values())) for tag, p in tuples)
-    infinity = {
-        tag: pack(plan.infinity_state(tuple(map(degmap.get, plan.alphas))))
-        for tag, degmap in component_degree_maps(G, dv)
-    }
+        def __init__(self, at):
+            self.at = at
+
+        def __missing__(self, key):
+            slot, *keys = self.at
+            keys.insert(slot, key)
+            self[key] = row = pack(_checked_state(plan, tuple(keys), None))
+            return row
+
+    column = lru_cache(maxsize=None)(Column)
+
+    def totals(chosen, slot, d, selected):
+        table, ok = memoryview(key_table(d)), bytes(selected)  # columns uncopied
+        ats = zip(itertools.repeat(slot, q), *chosen[:slot], *chosen[slot + 1 :])
+        lookups = (column(at).__getitem__ for at in ats)
+        keys = (itertools.compress(table[x::q], ok) for x in range(q))
+        return map(sum, zip(*map(map, lookups, keys)))
+
+    def key_row(d, code):
+        return key_table(d)[code * q : code * q + q]
+
+    tally = Counter()
+    for _, degmap in components:
+        infinity = pack(plan.infinity_state(tuple(map(degmap.get, plan.alphas))))
+        finite = enumerate_coprime_tuples(ctx, degmap, key_row, _each=totals)
+        try:
+            tally.update(map(infinity.__add__, finite))
+        except (MultipleVanishing, InternalInconsistency):
+            for polys in enumerate_coprime_tuples(ctx, degmap):  # names the point
+                _component_point_data(ctx, G, polys)
+            raise
     weight, out = (q - 1) ** G.n // G.size, Counter()
-    for (tag, total), m in tally.items():
-        row = total + infinity[tag]
+    for row, m in tally.items():
         for k in range(G.size):
             out[row >> k * bits & (1 << bits) - 1] += m * weight
     return out

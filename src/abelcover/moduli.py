@@ -15,7 +15,7 @@ import os
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -256,15 +256,9 @@ def component_sizes(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> dict:
     }
 
 
-def space_tuples(
-    ctx: FieldCtx, G: GroupSpec, dv: DegreeVector, make: Optional[Callable] = None
-) -> Iterator[tuple[Optional[tuple[int, ...]], dict]]:
-    """(tag, {alpha: f_alpha}) for every polynomial tuple of the space, plain
-    component first, then the dropped components in beta order, each f_alpha
-    built by make as in enumerate_coprime_tuples.  On the call, the exact
-    number of covers (component_sizes) is checked against the environment
-    variable ABCOVER_BUDGET, default DEFAULT_BUDGET; the components are
-    walked lazily."""
+def space_components(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> list:
+    """component_degree_maps(G, dv), once the exact number of covers
+    (component_sizes) is found within ABCOVER_BUDGET (default DEFAULT_BUDGET)."""
     raw = os.environ.get("ABCOVER_BUDGET", DEFAULT_BUDGET)
     try:
         budget = int(raw)
@@ -273,23 +267,21 @@ def space_tuples(
     size = sum(component_sizes(ctx, G, dv).values())
     if size > budget:
         raise BudgetExceeded(size, budget)
-    return (
-        (tag, polys)
-        for tag, degmap in component_degree_maps(G, dv)
-        for polys in enumerate_coprime_tuples(ctx, degmap, make)
-    )
+    return component_degree_maps(G, dv)
 
 
 def enumerate_space(
     ctx: FieldCtx, G: GroupSpec, dv: DegreeVector
 ) -> Iterator[CoverTuple]:
-    """Every (c, (f_alpha)) of the space exactly once, in space_tuples order
-    with the leading coefficients innermost."""
+    """Every (c, (f_alpha)) of the space exactly once: the components in
+    space_components order, walked lazily, with the leading coefficients
+    innermost."""
     units = list(range(1, ctx.q))
-    for tag, polys in space_tuples(ctx, G, dv):
-        f = tuple(polys.items())
-        for c in itertools.product(units, repeat=G.n):
-            yield CoverTuple(c, f, tag)
+    for tag, degmap in space_components(ctx, G, dv):
+        for polys in enumerate_coprime_tuples(ctx, degmap):
+            f = tuple(polys.items())
+            for c in itertools.product(units, repeat=G.n):
+                yield CoverTuple(c, f, tag)
 
 
 def _randbelow(rng: random.Random, n: int, count: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress, groupby, product, repeat
 from math import comb, factorial, prod
+from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 from .errors import FieldMismatch, ZeroPolynomial
@@ -303,44 +304,52 @@ def enumerate_squarefree(ctx: FieldCtx, d: int) -> Iterator[Polynomial]:
 
 
 def enumerate_coprime_tuples(
-    ctx: FieldCtx, degrees: Mapping, make: Optional[Callable] = None
-) -> Iterator[dict]:
+    ctx: FieldCtx, degrees: Mapping, make: Optional[Callable] = None, *, _each=None
+) -> Iterator:
     """Tuples of monic squarefree pairwise-coprime polynomials with the
-    prescribed degrees, keyed like ``degrees``, each exactly once.
-
-    Keys are visited in sorted order; within a key candidates follow the
-    enumerate_squarefree order, and a candidate whose factor mask meets
-    those of the already-chosen coordinates is skipped.  The squarefree
-    flags of each degree are sieved once per call, the factor masks too
-    when two or more coordinates have positive degree: a common factor of
-    two coordinates has at most the second largest degree.  Each chosen
-    coordinate is built once, as make(d, code) from its degree and base-q
-    code; by default that is the monic Polynomial.
-    """
+    prescribed degrees, keyed like ``degrees``, each exactly once: keys in
+    sorted order, each key's candidates in enumerate_squarefree order, a
+    candidate skipped where its factor mask meets those of the chosen
+    coordinates.  Flags and masks are sieved once per call, masks up to the
+    second largest degree, which bounds a common factor of two coordinates.
+    Each coordinate is built once, as make(d, code) from its degree and
+    base-q code (by default the monic Polynomial); degree-0 ones (code 0)
+    first.  The innermost positive-degree coordinate (the last key if none)
+    is not looped over: per choice of the others the walk flags its codes
+    at once and yields from _each(chosen, slot, d, flags), one item per
+    flagged code (by default the tuple's dict), with chosen holding the
+    coordinates by key position and slot the innermost's."""
     keys = sorted(degrees)
     if not keys:
         yield {}
         return
-    q = ctx.q
-    flags = {d: _squarefree_flags(ctx, d) for d in set(degrees.values())}
-    positive = sorted(d for d in degrees.values() if d > 0)
+    q, degs = ctx.q, [degrees[key] for key in keys]
+    flags = {d: _squarefree_flags(ctx, d) for d in set(degs)}
+    positive = sorted(d for d in degs if d > 0)
     masks = _factor_masks(ctx, set(positive), positive[-2]) if len(positive) > 1 else {}
     make = make or _monic_maker(ctx, flags)  # flags is keyed by the degrees
+    chosen = [None if d else make(0, 0) for d in degs]
+    *outer, slot = [i for i, d in enumerate(degs) if d] or [len(keys) - 1]
 
-    def rec(i: int, chosen: list, used: int) -> Iterator[dict]:
-        d, last = degrees[keys[i]], i + 1 == len(keys)
-        candidates = zip(range(q**d), masks.get(d) or repeat(0))
-        for code, mask in compress(candidates, flags[d]):
-            if mask & used:
-                continue
-            chosen.append(make(d, code))
-            if last:  # no generator per tuple
-                yield dict(zip(keys, chosen))
-            else:
-                yield from rec(i + 1, chosen, used | mask)
-            chosen.pop()
+    def each(chosen, slot, d, selected):
+        for code in compress(range(q**d), selected):
+            chosen[slot] = make(d, code)
+            yield dict(zip(keys, chosen))
 
-    yield from rec(0, [], 0)
+    def prefixes(j: int, used: int) -> Iterator[int]:  # outer[j:] set in chosen
+        if j == len(outer):
+            yield used  # the union of the chosen coordinates' masks
+            return
+        i, d = outer[j], degs[outer[j]]
+        for code, mask in compress(zip(range(q**d), masks[d]), flags[d]):
+            if not mask & used:
+                chosen[i] = make(d, code)
+                yield from prefixes(j + 1, used | mask)
+
+    d = degs[slot]
+    for used in prefixes(0, 0):
+        selected = map(gt, flags[d], map(used.__and__, masks[d])) if used else flags[d]
+        yield from (_each or each)(chosen, slot, d, selected)
 
 
 def count_coprime_tuples(q: int, degrees) -> int:

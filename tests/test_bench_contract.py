@@ -13,8 +13,8 @@ import abelcover.cli  # noqa: F401  (the tracer wraps names in every module)
 from abelcover import counting
 from abelcover.field import make_field
 from abelcover.groupcomb import GroupSpec
-from abelcover.moduli import make_cover_tuple, normalize_degrees
-from abelcover.polyring import Polynomial
+from abelcover.moduli import component_degree_maps, make_cover_tuple, normalize_degrees
+from abelcover.polyring import Polynomial, count_coprime_tuples
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -56,3 +56,22 @@ def test_tracer_targets_resolve_and_point_data_hook_runs(tracer_mod):
     # the traced walk still sees every polynomial tuple of the space
     assert t.counters["polyring.tuples"] == 25
     assert t.counters["counting.c_block_evals"] == 100
+
+
+def test_traced_walk_yields_once_per_tuple_where_masks_filter(tracer_mod):
+    """Three coprime linear coordinates, and the dropped components where
+    one of them is the constant 1: 60 + 3 * 20 tuples, each yielded once."""
+    ctx = make_field(5)
+    G = GroupSpec((2, 2))
+    dv = normalize_degrees(G, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    t = tracer_mod.Tracer()
+    t.install()
+    try:
+        hist = counting.space_count_histogram(ctx, G, dv)
+    finally:
+        t.uninstall()
+    components = component_degree_maps(G, dv)
+    sizes = [count_coprime_tuples(5, m.values()) for _, m in components]
+    assert sizes == [60, 20, 20, 20]
+    assert t.counters["polyring.tuples"] == 120
+    assert sum(hist.values()) == 120 * 4**2

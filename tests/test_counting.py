@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from abelcover import counting
+from abelcover import counting, polyring
 from abelcover.counting import (
     INFINITY,
     _component_point_data,
@@ -52,7 +52,6 @@ from abelcover.moduli import (
     make_cover_tuple,
     normalize_degrees,
     sample_space,
-    space_tuples,
 )
 from abelcover.numtheory import divisors
 from abelcover.polyring import Polynomial, enumerate_monic
@@ -117,6 +116,22 @@ def test_eval_rejects_common_roots(f5):
     bad = make_cover_tuple((1, 1), {(1, 0): f, (0, 1): f, (1, 1): Polynomial.one(f5)})
     with pytest.raises(MultipleVanishing):
         eval_at(f5, G, bad, 1)
+
+
+def test_bulk_walk_rejects_common_roots_where_masks_let_them_through(f5, monkeypatch):
+    """With the factor masks zeroed the coprime walk also yields tuples with
+    common roots; the bulk histogram refuses the first, (x, x, x), where
+    its state is made, rather than reading a row that no coprime tuple has."""
+    real = polyring._factor_masks
+
+    def zeroed(ctx, degrees, top):
+        return {d: [0] * len(masks) for d, masks in real(ctx, degrees, top).items()}
+
+    monkeypatch.setattr(polyring, "_factor_masks", zeroed)
+    G = GroupSpec((2, 2))
+    dv = normalize_degrees(G, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    with pytest.raises(MultipleVanishing, match="^3 polynomials vanish at 0$"):
+        space_count_histogram(f5, G, dv)
 
 
 def test_cyclotomic_check_catches_a_dichotomy_fault(f5, monkeypatch):
@@ -574,6 +589,10 @@ def small_spaces(draw):
 @example((5, (2,), {(1,): 4}, 0))
 @example((5, (2, 2), {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 0))
 @example((5, (2,), {(1,): 2}, 0))
+# The walked coordinate followed by degree-0 ones: 2,400 covers.
+@example((5, (4,), {(1,): 4}, 0))
+# No coordinate of positive degree: 16 covers.
+@example((5, (2, 2), {}, INFINITY))
 # The first r_j units fall one per class of leading units over F_5, not
 # here: 2 = 3^2 is a square in F_7, and 1..4 in F_9 miss a class mod 4.
 @example((7, (2,), {(1,): 2}, INFINITY))
@@ -603,8 +622,8 @@ def test_bulk_histograms_match_per_cover_counts(space):
     # f_beta, whatever the size of the space.
     states = {
         (beta, tuple(exps.values()))
-        for _, polys in space_tuples(ctx, G, dv)
-        for beta, exps in _component_point_data(ctx, G, polys)
+        for cover in enumerate_space(ctx, G, dv)
+        for beta, exps in _component_point_data(ctx, G, cover.polys())
     }
     bound = G.size + sum(G.size // ram_exponent(G, b) for b in G.nonzero_vectors())
     assert len(states) <= bound
