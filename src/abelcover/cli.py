@@ -103,6 +103,13 @@ def _int(value, what):
     return value
 
 
+def _text(value, what):
+    """value, a string or None; a config file's numbers and bools are not."""
+    if value is not None and not isinstance(value, str):
+        raise ValueError("%s must be a string, not %r" % (what, value))
+    return value
+
+
 def _int_list(value, what):
     if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ValueError("%s must be a JSON list of integers, not %r" % (what, value))
@@ -200,7 +207,7 @@ def cmd_distribution(args, config):
         raise ValueError("--draws must be at least 1, not %d" % draws)
     seed = _int(_pick(args, config, "seed", 0), "--seed")
     ladder = _pick(args, config, "ladder")
-    out_path = _pick(args, config, "out")
+    out_path = _text(_pick(args, config, "out"), "--out")
     lines = []
     if ladder is not None:
         if isinstance(ladder, str):
@@ -546,7 +553,7 @@ def run_verification(only=None, out=None):
 
 
 def cmd_verify(args, config):
-    only = _pick(args, config, "only")
+    only = _text(_pick(args, config, "only"), "--only")
     failures = run_verification(only=only)
     return 1 if failures else 0
 

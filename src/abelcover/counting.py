@@ -17,26 +17,21 @@ unramified points.
 Inside this module a pair is its position in enumerate_index_pairs(G), and
 an f_alpha its position in G.nonzero_vectors(), the alpha order that
 CoverTuple.validate demands; IndexPair keys appear only in a
-PointEvaluation's pattern, which is built on first read.  Everything counting
-needs of a group is one character table, chi = {v: pair_weight(pair, v)
-per position} over v in G, held in one memo, _plan(r), which holds no field:
-its rows at the nonzero alpha are the exponents e_alpha, its zeros at beta
-are A_beta, its row at the class of the leading units is their c-part, and
-its row at -d_vec gives the state at infinity.  The key of f at x is 0
-where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every ell.
-The key -> state rule (_point_state) maps the key vector of the f_alpha at
-x to the point state (beta_x, {position: exponent or None}): the vanishing
-alpha, and sum_alpha e_alpha dlog f_alpha(x) mod ell, None where a factor
-vanishes.  Each state is checked where it is made (_checked_state): its
-None entries must lie exactly off A_beta.  The one count rule,
-_count_above, adds the c-part to a state and applies the dichotomy.
-count_points (and eval_at) find the keys from the values of each f_alpha at
-every x (FieldCtx.values) and their dlogs.  The one walk,
-space_count_histogram, reads the keys from per-degree key tables and sums
-per tuple one packed count row (all classes of leading units) per point:
-the coprime walk hands it the innermost coordinate's codes at once, and,
-the other coordinates fixed, the row at x is a lookup by one entry of
-column x of that coordinate's table, so no Python step runs per tuple.
+PointEvaluation's pattern, built on first read.  All counting needs of a
+group is one character table, chi = {v: pair_weight(pair, v) per position}
+over v in G, in one memo, _plan(r), which holds no field.  The key of f at
+x is 0 where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every
+ell.  The state at x is (beta, {position: chi at v, None where chi at beta
+is nonzero}), memoised in the plan by beta, the alpha with f_alpha(x) = 0
+(else 0), and the Kummer class v = sum_alpha (key_alpha - 1) alpha mod r;
+at infinity beta = -d_vec and v = 0.  A state made from keys is checked
+(_checked_state): its None entries must lie exactly off A_beta.  The one
+count rule, _count_above, adds the c-part (chi at the class of the leading
+units) and applies the dichotomy.  count_points (and eval_at) take one
+cover's keys from FieldCtx.values; the one walk, space_count_histogram,
+takes them from per-degree key tables and, the other coordinates fixed,
+reads the packed count row (all classes of leading units) at x by one entry
+of column x of the innermost coordinate's table: no Python step per tuple.
 space_pattern_histogram is counted, not walked.
 """
 
@@ -46,6 +41,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import mul
 
 from .errors import (
     BadOrder,
@@ -59,7 +55,7 @@ from .groupcomb import (
     GroupSpec, IndexPair, class_of, enumerate_index_pairs, pair_weight
 )
 from .moduli import (
-    CoverTuple, DegreeVector, component_degree_maps, d_vec, space_components
+    CoverTuple, DegreeVector, component_degree_maps, space_components
 )
 from .numtheory import divisors
 from .polyring import Polynomial, count_coprime_tuples, enumerate_coprime_tuples
@@ -189,7 +185,7 @@ def _cyclotomic_consistent(plan: _Plan, exps: dict, c_part: tuple, count: int) -
     sum zeta^(e_i) - count = 0 in Z[zeta_{r_n}]."""
     r_n = plan.G.exponent
     vec = [0] * r_n
-    for a, c, (ell, _) in zip(exps.values(), c_part, plan.table):
+    for a, c, ell in zip(exps.values(), c_part, plan.ells):
         if a is not None:
             vec[(a + c) % ell * (r_n // ell)] += 1
     vec[0] -= count
@@ -246,7 +242,7 @@ def _pattern(plan: _Plan, exps: dict, c_part: tuple) -> dict:
     (None where the value is 0) and the c-part c_part."""
     return {
         pair: CharValue(ell, None if a is None else (a + c) % ell)
-        for pair, a, c, (ell, _) in zip(plan.pairs, exps.values(), c_part, plan.table)
+        for pair, a, c, ell in zip(plan.pairs, exps.values(), c_part, plan.ells)
     }
 
 
@@ -281,8 +277,7 @@ def _key_table(ctx: FieldCtx, E: int, d: int):
     built digit by digit, a_i x^i shifting copies of the previous block, with
     no Horner evaluation, and written to its column.  bytes, or an array
     of unsigned shorts once E >= 255."""
-    q = ctx.q
-    key = [0] + [1 + ctx.dlog(v) % E for v in range(1, q)]
+    q, key = ctx.q, _point_keys(ctx, E)
     shift = [[ctx.add(v, s) for v in range(q)] for s in range(q)]
     if E < 255:
         store, table = bytes, bytearray(q ** (d + 1))
@@ -302,40 +297,35 @@ def _key_table(ctx: FieldCtx, E: int, d: int):
     return bytes(table) if E < 255 else table
 
 
+def _point_keys(ctx: FieldCtx, E: int) -> list:
+    """The key of each v in F_q, by v: 0 for v = 0, else 1 + dlog v mod E."""
+    return [0, *(1 + ctx.dlog(v) % E for v in range(1, ctx.q))]
+
+
 def _point_state(plan: _Plan, keys: tuple, x) -> tuple:
     """The key -> state rule.  keys[i] is 0 where f_(plan.alphas[i])
-    vanishes at x, else 1 + its dlog mod exp(G).  The state is
-    (beta_x, {position: exponent or None}) in position order: beta_x the
-    vanishing alpha (0 if none), the exponent sum_alpha e_alpha
-    dlog f_alpha(x) mod ell, None where an f_alpha with e_alpha != 0
-    vanishes (ell divides exp(G), so the keys suffice)."""
-    vanishing = [alpha for alpha, key in zip(plan.alphas, keys) if not key]
-    if len(vanishing) > 1:
-        raise MultipleVanishing(f"{len(vanishing)} polynomials vanish at {x}")
-    exps = {}
-    for pos, (ell, pair_exps) in enumerate(plan.table):
-        acc = 0
-        for i, e in pair_exps:
-            key = keys[i]
-            if not key:
-                acc = None
-                break
-            acc += e * (key - 1)
-        exps[pos] = None if acc is None else acc % ell
-    return (vanishing[0] if vanishing else (0,) * plan.G.n), exps
+    vanishes at x, else 1 + its dlog mod exp(G).  The state is the plan's at
+    beta_x, the vanishing alpha (0 if none), and the Kummer class v =
+    sum_alpha (key_alpha - 1) alpha mod r (chi is linear in v; the -beta_x
+    of the key 0 moves only positions where chi at beta_x is nonzero)."""
+    zeros = keys.count(0)
+    if zeros > 1:
+        raise MultipleVanishing(f"{zeros} polynomials vanish at {x}")
+    beta = plan.alphas[keys.index(0)] if zeros else plan.zero
+    v = tuple([(sum(map(mul, keys, col)) - s) % rj for col, s, rj in plan.columns])
+    return plan.state(beta, v)
 
 
 def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
     """The point states (_checked_state) at 0, ..., q-1, then the state at
-    INFINITY (_Plan.infinity_state), without the c-part, for one cover: the keys
-    come from the values of each f_alpha at every x (FieldCtx.values) and
-    their dlogs.  polys is read in G.nonzero_vectors() order; keyed by other
-    alphas, it raises DimensionMismatch."""
-    plan, memo, E = _plan(G.r), {}, G.exponent
+    INFINITY (_Plan.infinity_state), without the c-part, for one cover, from
+    the keys of each f_alpha's values (FieldCtx.values).  polys is read in
+    G.nonzero_vectors() order; keyed by other alphas, it raises DimensionMismatch."""
+    plan, memo = _plan(G.r), {}
     if polys.keys() != set(plan.alphas):
         raise DimensionMismatch(f"f is not keyed by the nonzero alphas of {G.r}")
     fs = [polys[alpha] for alpha in plan.alphas]
-    key = [0, *(1 + ctx.dlog(v) % E for v in range(1, ctx.q))]
+    key = _point_keys(ctx, G.exponent)
     keys = [list(map(key.__getitem__, ctx.values(f.coeffs))) for f in fs]
     data = [
         memo.get(k) or memo.setdefault(k, _checked_state(plan, k, x))
@@ -365,40 +355,42 @@ def check_order(G: GroupSpec, q: int) -> None:
 
 class _Plan:
     """What counting needs of a group G, besides the field: its nonzero
-    alphas in the one order every cover holds them (alphas); the index
-    pairs; the character table chi = {v: pair_weight(pair, v) per position}
-    over v in G, whose row at a class of leading units is their c-part; and
-    read from chi, the exponent table (per position, ell and every (i,
-    e_alpha != 0), i the position of alpha), the supports ({beta: the
-    (position, ell) of A_beta}) and the states at infinity, built per
-    degrees on first use."""
+    alphas in the one order every cover holds them, and per coordinate j
+    their entries, the sum of those and r_j (columns); the index pairs and
+    their orders; the character table chi = {v: pair_weight(pair, v) per
+    position} over v in G and the supports read from it ({beta: the
+    (position, ell) of A_beta}); the point states by (beta, v), made once."""
 
-    __slots__ = ("G", "alphas", "pairs", "chi", "table", "supports", "_infinity")
+    __slots__ = (
+        "G", "zero", "alphas", "columns", "pairs", "ells", "chi", "supports", "_states"
+    )
 
     def __init__(self, G: GroupSpec):
-        self.G, self.alphas = G, tuple(G.nonzero_vectors())
+        self.G, self.zero, self.alphas = G, (0,) * G.n, tuple(G.nonzero_vectors())
+        cols = tuple(zip(*self.alphas))
+        self.columns = tuple(zip(cols, map(sum, cols), G.r))
         self.pairs = pairs = enumerate_index_pairs(G)
+        self.ells = ells = tuple(p.ell for p in pairs)
         chi = {v: tuple(pair_weight(p, v) for p in pairs) for v in G.all_vectors()}
-        rows, ells = [chi[alpha] for alpha in self.alphas], [p.ell for p in pairs]
-        self.table = tuple(
-            (ell, tuple((i, row[pos]) for i, row in enumerate(rows) if row[pos]))
-            for pos, ell in enumerate(ells)
-        )
         self.supports = {
             beta: tuple((pos, ell) for pos, ell in enumerate(ells) if not row[pos])
             for beta, row in chi.items()
         }
-        self.chi, self._infinity = chi, {}
+        self.chi, self._states = chi, {}
+
+    def state(self, beta: tuple, v: tuple) -> tuple:
+        """The point state of vanishing class beta and Kummer class v:
+        (beta, {position: chi at v, or None where chi at beta is nonzero})."""
+        if (beta, v) not in self._states:
+            rows = enumerate(zip(self.chi[beta], self.chi[v]))
+            self._states[beta, v] = beta, {i: None if b else e for i, (b, e) in rows}
+        return self._states[beta, v]
 
     def infinity_state(self, degrees: tuple) -> tuple:
         """The state at infinity where f_(alphas[i]) has degree degrees[i]:
-        beta = -d_vec, the exponent 0, or None where chi at beta is nonzero."""
-        if degrees not in self._infinity:
-            d = d_vec(self.G, dict(zip(self.alphas, degrees)))
-            beta = tuple(-dj % rj for dj, rj in zip(d, self.G.r))
-            exps = {pos: None if e else 0 for pos, e in enumerate(self.chi[beta])}
-            self._infinity[degrees] = beta, exps
-        return self._infinity[degrees]
+        beta = -d_vec = -sum_alpha d(alpha) alpha, and v = 0 (f_alpha monic)."""
+        beta = [-sum(map(mul, degrees, col)) % rj for col, _, rj in self.columns]
+        return self.state(tuple(beta), self.zero)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +336,23 @@ def test_config_file_numbers_must_be_integers(tmp_path, capsys, name, value):
     assert "--%s must be" % name in err
 
 
+@pytest.mark.parametrize("value", [True, 1])
+def test_config_file_out_must_be_a_string(tmp_path, capsys, value):
+    # open() takes a bool or an int as a file descriptor: fd 1 is stdout.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "out": value}))
+    code, out, err = run(capsys, "--config", str(cfg), "distribution")
+    assert (code, out) == (2, "")
+    assert "--out must be a string, not %r" % value in err
+
+
+def test_config_file_only_must_be_a_string(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"only": 5}))
+    code, out, err = run(capsys, "--config", str(cfg), "verify")
+    assert (code, out, err) == (2, "", "error: --only must be a string, not 5\n")
+
+
 @pytest.mark.parametrize("draws", [0, -3])
 def test_draws_must_be_positive(tmp_path, capsys, draws):
     message = "error: --draws must be at least 1, not %d\n" % draws
@@ -366,6 +385,24 @@ def test_verify_runs_clean(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert out.splitlines() == ["ok   %s" % name for name, _ in cli.CHECKS]
+
+
+def readme_commands():
+    """The abelcover commands of README's "Command line" block, each an argv
+    without the program name, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("abelcover ")]
+
+
+def test_readme_commands_run(capsys):
+    """Every command the README shows exits 0, so the docs follow the CLI."""
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"genus", "count", "distribution", "verify"}
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_verify_only_filter():

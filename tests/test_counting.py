@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import math
+import random
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -200,9 +202,8 @@ def _divisor_chains(bound):
 
 
 def test_plan_reads_every_group_rule_from_one_character_table():
-    """For every group of order at most 16, the plan's character table,
-    exponent table and supports are pair_weight and a_beta, position by
-    position."""
+    """For every group of order at most 16, the plan's character table and
+    supports are pair_weight and a_beta, position by position."""
     chains = _divisor_chains(16)
     assert len(chains) == 15 + 6 + 2 + 1  # cyclic, two, three and four factors
     for r in chains:
@@ -212,19 +213,56 @@ def test_plan_reads_every_group_rule_from_one_character_table():
         assert plan.chi == {
             v: tuple(pair_weight(pair, v) for pair in pairs) for v in G.all_vectors()
         }
-        assert plan.table == tuple(
-            (pair.ell, tuple(
-                (i, pair_weight(pair, a))
-                for i, a in enumerate(G.nonzero_vectors()) if pair_weight(pair, a)
-            ))
-            for pair in pairs
-        )
         for beta in G.all_vectors():
             surviving = plan.supports[beta]
             assert [pairs[i] for i, _ in surviving] == [
                 pair for pair in pairs if pair in a_beta(G, beta)
             ]
             assert all(ell == pairs[i].ell for i, ell in surviving)
+
+
+def literal_state(G, keys):
+    """The state at a point from the keys of the f_alpha there, pair by
+    pair: sum_alpha e_alpha (key_alpha - 1) mod ell, None where a vanishing
+    f_alpha has e_alpha != 0."""
+    alphas = G.nonzero_vectors()
+    vanishing = [alpha for alpha, key in zip(alphas, keys) if not key]
+    exps = {}
+    for pos, pair in enumerate(enumerate_index_pairs(G)):
+        weights = [pair_weight(pair, alpha) for alpha in alphas]
+        if any(e for e, key in zip(weights, keys) if not key):
+            exps[pos] = None
+        else:
+            exps[pos] = sum(e * (key - 1) for e, key in zip(weights, keys)) % pair.ell
+    return (vanishing[0] if vanishing else (0,) * G.n), exps
+
+
+def test_point_states_match_the_literal_per_pair_sum():
+    """For every group of order at most 16, the key -> state rule against
+    the literal per-pair sum: on every key vector with at most one zero
+    where there are at most 5,000 of them, else on a seeded sample; two
+    zeros are refused."""
+    rng = random.Random(0)
+    for r in _divisor_chains(16):
+        G, plan = GroupSpec(r), counting._plan(r)
+        m, E = G.size - 1, G.exponent
+        if E**m + m * E ** (m - 1) <= 5000:
+            vectors = [
+                keys for keys in itertools.product(range(E + 1), repeat=m)
+                if keys.count(0) <= 1
+            ]
+        else:
+            vectors = []
+            for _ in range(300):
+                keys = [rng.randint(1, E) for _ in range(m)]
+                if rng.random() < 0.5:
+                    keys[rng.randrange(m)] = 0
+                vectors.append(tuple(keys))
+        for keys in vectors:
+            assert counting._point_state(plan, keys, 0) == literal_state(G, keys)
+        if m > 1:
+            with pytest.raises(MultipleVanishing, match="^2 polynomials vanish at 3$"):
+                counting._point_state(plan, (0, 0, *[1] * (m - 2)), 3)
 
 
 @pytest.mark.parametrize(
@@ -500,6 +538,7 @@ LITERAL_CASES = [
         ((2, 2), {(1, 0): 2, (0, 1): 2, (1, 1): 2}),
         ((2, 4), {(1, 1): 1, (1, 3): 1, (1, 2): 2}),
         ((6,), {(1,): 1, (2,): 1, (3,): 1}),
+        ((12,), {(1,): 1, (11,): 1}),
     ]
     if (p**k - 1) % r[-1] == 0
 ]
@@ -559,7 +598,9 @@ def test_memos_keep_fields_and_components_apart():
 
 @lru_cache(maxsize=None)
 def field_of(q):
-    p, k = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}[q]
+    p, k = {
+        3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1)
+    }[q]
     return make_field(p, k)
 
 
@@ -601,6 +642,8 @@ def small_spaces(draw):
 # A cubic extension of characteristic 2 with two branched alpha, both
 # dropped components and the point at infinity: 504 covers.
 @example((8, (7,), {(1,): 1, (6,): 1}, INFINITY))
+# A group of order 12 with two branched alpha: 2,184 covers.
+@example((13, (12,), {(1,): 1, (11,): 1}, 0))
 def test_bulk_histograms_match_per_cover_counts(space):
     """The count and pattern histograms against per-cover count_points and
     eval_at."""
