@@ -21,17 +21,17 @@ PointEvaluation's pattern, built on first read.  All counting needs of a
 group is one character table, chi = {v: pair_weight(pair, v) per position}
 over v in G, in one memo, _plan(r), which holds no field.  The key of f at
 x is 0 where f(x) = 0, else 1 + dlog f(x) mod exp(G), a multiple of every
-ell.  The state at x is (beta, {position: chi at v, None where chi at beta
-is nonzero}), memoised in the plan by beta, the alpha with f_alpha(x) = 0
-(else 0), and the Kummer class v = sum_alpha (key_alpha - 1) alpha mod r;
-at infinity beta = -d_vec and v = 0.  A state made from keys is checked
-(_checked_state): its None entries must lie exactly off A_beta.  The one
-count rule, _count_above, adds the c-part (chi at the class of the leading
-units) and applies the dichotomy.  count_points (and eval_at) take one
-cover's keys from FieldCtx.values; the one walk, space_count_histogram,
-takes them from per-degree key tables and, the other coordinates fixed,
-reads the packed count row (all classes of leading units) at x by one entry
-of column x of the innermost coordinate's table: no Python step per tuple.
+ell.  Every point state comes from _point_state: (beta, {position: chi at
+v, None where chi at beta is nonzero}), with beta the alpha with
+f_alpha(x) = 0 (else 0) and v = sum_alpha (key_alpha - 1) alpha mod r the
+Kummer class; the plan memoises it by (beta, v), the one state memo.  At
+infinity beta = -d_vec and v = 0.  The one count rule, _count_above, adds
+the c-part (chi at the class of the leading units) and applies the
+dichotomy.  count_points (and eval_at) take one cover's keys from
+FieldCtx.values; the one walk, space_count_histogram, takes them from
+per-degree key tables and, the other coordinates fixed, reads the packed
+count row (all classes of leading units) at x by one entry of column x of
+the innermost coordinate's table: no Python step per tuple.
 space_pattern_histogram is counted, not walked.
 """
 
@@ -123,9 +123,8 @@ class PointCountReport:
                             "order": val.order,
                             "exponent": val.exponent,
                         }
-                        for pair, val in sorted(
-                            pt.pattern.items(), key=lambda kv: (kv[0].s, kv[0].omega)
-                        )
+                        # enumerate_index_pairs order, which is (s, omega) order
+                        for pair, val in pt.pattern.items()
                     ],
                 }
                 for pt in self.points
@@ -216,11 +215,12 @@ def count_points(
     ctx: FieldCtx, G: GroupSpec, t: CoverTuple, check: bool = True
 ) -> PointCountReport:
     """Point count over every x in P^1(F_q) plus the total and Tr(Frob_q).
-    Raises InternalInconsistency where the zero support of a point state is
-    not the complement of A_beta or, with check=True, where the exact
-    cyclotomic sum of its values disagrees with the A_beta dichotomy.  Each
-    point's pattern is built on first read."""
+    Leading units outside (F_q^*)^n raise DimensionMismatch, as in
+    CoverTuple.validate; with check=True, a point where the exact cyclotomic
+    sum of the values disagrees with the A_beta dichotomy raises
+    InternalInconsistency.  Each point's pattern is built on first read."""
     check_order(G, ctx.q)
+    t.check_units(ctx, G)
     plan = _plan(G.r)
     c_part = plan.chi[tuple(map(int.__mod__, map(ctx.dlog, t.c), G.r))]
     data = _component_point_data(ctx, G, t.polys())
@@ -317,33 +317,19 @@ def _point_state(plan: _Plan, keys: tuple, x) -> tuple:
 
 
 def _component_point_data(ctx: FieldCtx, G: GroupSpec, polys: dict) -> list:
-    """The point states (_checked_state) at 0, ..., q-1, then the state at
+    """The point states (_point_state) at 0, ..., q-1, then the state at
     INFINITY (_Plan.infinity_state), without the c-part, for one cover, from
     the keys of each f_alpha's values (FieldCtx.values).  polys is read in
     G.nonzero_vectors() order; keyed by other alphas, it raises DimensionMismatch."""
-    plan, memo = _plan(G.r), {}
+    plan = _plan(G.r)
     if polys.keys() != set(plan.alphas):
         raise DimensionMismatch(f"f is not keyed by the nonzero alphas of {G.r}")
     fs = [polys[alpha] for alpha in plan.alphas]
     key = _point_keys(ctx, G.exponent)
     keys = [list(map(key.__getitem__, ctx.values(f.coeffs))) for f in fs]
-    data = [
-        memo.get(k) or memo.setdefault(k, _checked_state(plan, k, x))
-        for x, k in enumerate(zip(*keys))
-    ]
+    data = [_point_state(plan, k, x) for x, k in enumerate(zip(*keys))]
     data.append(plan.infinity_state(tuple(max(f.degree, 0) for f in fs)))
     return data
-
-
-def _checked_state(plan: _Plan, keys: tuple, x) -> tuple:
-    """_point_state, refused where its None entries are not exactly the
-    positions off A_beta (those where chi at beta is nonzero)."""
-    beta, exps = state = _point_state(plan, keys, x)
-    if [a is None for a in exps.values()] != list(map(bool, plan.chi[beta])):
-        raise InternalInconsistency(
-            f"vanishing pattern at x={x} is not [beta]-admissible"
-        )
-    return state
 
 
 def check_order(G: GroupSpec, q: int) -> None:
@@ -381,10 +367,12 @@ class _Plan:
     def state(self, beta: tuple, v: tuple) -> tuple:
         """The point state of vanishing class beta and Kummer class v:
         (beta, {position: chi at v, or None where chi at beta is nonzero})."""
-        if (beta, v) not in self._states:
+        state = self._states.get((beta, v))
+        if state is None:
             rows = enumerate(zip(self.chi[beta], self.chi[v]))
-            self._states[beta, v] = beta, {i: None if b else e for i, (b, e) in rows}
-        return self._states[beta, v]
+            state = beta, {i: None if b else e for i, (b, e) in rows}
+            self._states[beta, v] = state
+        return state
 
     def infinity_state(self, degrees: tuple) -> tuple:
         """The state at infinity where f_(alphas[i]) has degree degrees[i]:
@@ -412,8 +400,8 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
     sum of the packed rows of its points, which the coprime walk's _each hook
     (totals) reads per x from a Column by the innermost coordinate's key."""
     q, key_table = ctx.q, lru_cache(maxsize=None)(partial(_key_table, ctx, G.exponent))
-    components = space_components(ctx, G, dv)
     check_order(G, q)
+    components = space_components(ctx, G, dv)
     plan = _plan(G.r)
     classes, supports = list(plan.chi.values()), plan.supports
     bits = (G.size * (q + 1)).bit_length()
@@ -431,7 +419,7 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
         def __missing__(self, key):
             slot, *keys = self.at
             keys.insert(slot, key)
-            self[key] = row = pack(_checked_state(plan, tuple(keys), None))
+            self[key] = row = pack(_point_state(plan, tuple(keys), None))
             return row
 
     column = lru_cache(maxsize=None)(Column)
@@ -452,7 +440,7 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
         finite = enumerate_coprime_tuples(ctx, degmap, key_row, _each=totals)
         try:
             tally.update(map(infinity.__add__, finite))
-        except (MultipleVanishing, InternalInconsistency):
+        except MultipleVanishing:
             for polys in enumerate_coprime_tuples(ctx, degmap):  # names the point
                 _component_point_data(ctx, G, polys)
             raise

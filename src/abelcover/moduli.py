@@ -219,12 +219,16 @@ class CoverTuple:
     def polys(self) -> dict[tuple[int, ...], Polynomial]:
         return dict(self.f)
 
-    def validate(self, ctx: FieldCtx, G: GroupSpec) -> None:
-        """The cover contract: c in (F_q^*)^n and one monic squarefree f_alpha
-        over F_q per nonzero alpha, in G.nonzero_vectors() order, pairwise
-        coprime (a constant f_alpha is 1)."""
+    def check_units(self, ctx: FieldCtx, G: GroupSpec) -> None:
+        """The contract's first clause, which counting checks too: c in (F_q^*)^n."""
         if len(self.c) != G.n or any(not 1 <= cj < ctx.q for cj in self.c):
             raise DimensionMismatch("leading-coefficient vector invalid")
+
+    def validate(self, ctx: FieldCtx, G: GroupSpec) -> None:
+        """The cover contract: c in (F_q^*)^n (check_units) and one monic
+        squarefree f_alpha over F_q per nonzero alpha, in G.nonzero_vectors()
+        order, pairwise coprime (a constant f_alpha is 1)."""
+        self.check_units(ctx, G)
         polys = self.polys()
         for alpha, f in polys.items():
             if f.is_zero or any(not 0 <= a < ctx.q for a in f.coeffs):

@@ -1,8 +1,10 @@
 """Tests for the command-line interface and the cross-check suite."""
 
+import ast
 import itertools
 import json
 import math
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -403,6 +405,25 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
+
+
+def test_readme_layout_names_only_defined_helpers():
+    """Every backticked name beginning with _ in README's "Library layout"
+    table is a function or class defined in the package, so the table
+    cannot go on naming a helper that is gone."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text()
+    section = text.split("## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    named = set(re.findall(r"`(_\w+)`", "\n".join(rows)))
+    defined = {
+        node.name
+        for path in (root / "src" / "abelcover").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "_plan" in named
+    assert named <= defined, sorted(named - defined)
 
 
 def test_verify_only_filter():

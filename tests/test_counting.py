@@ -8,7 +8,7 @@ import math
 import random
 import weakref
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -166,9 +166,10 @@ def test_counting_reads_the_alphas_in_group_order(f5):
 
 
 @pytest.mark.parametrize("r", [(2,), (2, 2)])
-def test_zero_support_check_fires(f5, monkeypatch, r):
+def test_cyclotomic_check_catches_a_dropped_surviving_pair(f5, monkeypatch, r):
     """A point state in which a pair of A_beta reads None (a vanishing value
-    where the pattern must survive) is refused by count_points."""
+    where the pattern must survive) counts 0 where the exact cyclotomic sum
+    of the values is nonzero: count_points(check=True) refuses it at x=0."""
     G = GroupSpec(r)
     trivial = IndexPair((1,) * G.n, (1,) * G.n)  # in every A_beta
     assert enumerate_index_pairs(G).index(trivial) == 0  # its position
@@ -183,12 +184,23 @@ def test_zero_support_check_fires(f5, monkeypatch, r):
     polys = dict.fromkeys(G.nonzero_vectors(), Polynomial.one(f5))
     polys[(1,) * G.n] = Polynomial(f5, [1, 0, 1])
     t = make_cover_tuple((1,) * G.n, polys)
-    for check in (True, False):
-        with pytest.raises(InternalInconsistency, match=r"not \[beta\]-admissible"):
-            count_points(f5, G, t, check=check)
-    dv = normalize_degrees(G, {(1,) * G.n: 2})
-    with pytest.raises(InternalInconsistency, match=r"not \[beta\]-admissible"):
-        space_count_histogram(f5, G, dv)
+    message = "^cyclotomic sum disagrees with dichotomy count at x=0$"
+    with pytest.raises(InternalInconsistency, match=message):
+        count_points(f5, G, t, check=True)
+
+
+@pytest.mark.parametrize("c", [(1,), (0, 1), (7, 1), (1, 1, 1), (-1, 1)])
+def test_counting_refuses_invalid_leading_units(f5, c):
+    """count_points and eval_at hold c to the cover contract: n units of
+    F_q^*, refused with CoverTuple.validate's message."""
+    G = GroupSpec((2, 2))
+    polys = dict.fromkeys(G.nonzero_vectors(), Polynomial.one(f5))
+    polys[(1, 1)] = Polynomial(f5, [1, 0, 1])
+    t = make_cover_tuple(c, polys)
+    message = "^leading-coefficient vector invalid$"
+    for run in (count_points, lambda *args: eval_at(*args, 0)):
+        with pytest.raises(DimensionMismatch, match=message):
+            run(f5, G, t)
 
 
 def _divisor_chains(bound):
@@ -219,6 +231,15 @@ def test_plan_reads_every_group_rule_from_one_character_table():
                 pair for pair in pairs if pair in a_beta(G, beta)
             ]
             assert all(ell == pairs[i].ell for i, ell in surviving)
+
+
+def test_index_pairs_come_sorted_by_s_and_omega():
+    """For every group of order at most 16, enumerate_index_pairs is in
+    (s, omega) order, the order of a report's patterns and of its JSON."""
+    for r in _divisor_chains(16):
+        pairs = enumerate_index_pairs(GroupSpec(r))
+        keys = [(pair.s, pair.omega) for pair in pairs]
+        assert keys == sorted(keys)
 
 
 def literal_state(G, keys):
@@ -527,6 +548,16 @@ def test_group_exponent_must_divide_q_minus_one(f7, run):
         run(f7, G, dv, t)
 
 
+def test_order_is_checked_before_the_budget():
+    """exp(Z/3) = 3 does not divide 5 - 1: a space of 2.7 x 10^42 covers is
+    refused for its order, not for its size, by both histograms."""
+    G, f5 = GroupSpec((3,)), make_field(5)
+    dv = normalize_degrees(G, {(1,): 30, (2,): 30})
+    for run in (space_count_histogram, partial(space_pattern_histogram, x=0)):
+        with pytest.raises(BadOrder):
+            run(f5, G, dv)
+
+
 # (p, k, r, degrees) with exp(G) | q - 1; every group meets every field it fits.
 LITERAL_CASES = [
     (p, k, r, degrees)
@@ -578,8 +609,8 @@ def assert_literal_patterns(ctx, G, t):
 
 
 def test_memos_keep_fields_and_components_apart():
-    """count_points memoises the c-part per (group, q), over the classes of
-    leading units, and the state at infinity per (group, degrees).
+    """The one counting memo is per group and holds no field, and its point
+    states are keyed by (beta, v), whatever the field or the component.
     Interleave, in one process, the same unit vectors c over F_5 and F_9
     and covers of the plain and the dropped components of one space: every
     pattern stays literal."""
