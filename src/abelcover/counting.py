@@ -29,7 +29,8 @@ infinity beta = -d_vec and v = 0.  The one count rule, _count_above, adds
 the c-part (chi at the class of the leading units) and applies the
 dichotomy.  count_points (and eval_at) take one cover's keys from
 FieldCtx.values; the one walk, space_count_histogram, takes them from
-per-degree key tables and, the other coordinates fixed, reads the packed
+per-degree key tables (_key_table, one translate per x of polyring's value
+column) and, the other coordinates fixed, reads the packed
 count row (all classes of leading units) at x by one entry of column x of
 the innermost coordinate's table: no Python step per tuple.
 space_pattern_histogram is counted, not walked.
@@ -58,7 +59,9 @@ from .moduli import (
     CoverTuple, DegreeVector, component_degree_maps, space_components
 )
 from .numtheory import divisors
-from .polyring import Polynomial, count_coprime_tuples, enumerate_coprime_tuples
+from .polyring import (
+    Polynomial, _value_columns, count_coprime_tuples, enumerate_coprime_tuples
+)
 
 INFINITY = "inf"
 
@@ -273,28 +276,26 @@ def _point_index(ctx: FieldCtx, x) -> int:
 def _key_table(ctx: FieldCtx, E: int, d: int):
     """The keys of every monic degree-d polynomial at every x, code-major:
     entry code * q + x is 0 where f(x) = 0, else 1 + dlog f(x) mod E, for the
-    f of base-q code a_0 + a_1 q + ...  Per x the values over all codes are
-    built digit by digit, a_i x^i shifting copies of the previous block, with
-    no Horner evaluation, and written to its column.  bytes, or an array
-    of unsigned shorts once E >= 255."""
-    q, key = ctx.q, _point_keys(ctx, E)
-    shift = [[ctx.add(v, s) for v in range(q)] for s in range(q)]
-    if E < 255:
-        store, table = bytes, bytearray(q ** (d + 1))
-    else:  # loaded only here: the array module adds to every process's memory
+    f of base-q code a_0 + a_1 q + ...  Per x the values of the non-leading
+    parts over all codes (polyring._value_columns, weights x^i) are mapped by
+    v -> key(v + x^d) and written to column x.  bytes for q <= 256, where
+    keys <= E <= q - 1 fit a byte; else an array of unsigned shorts."""
+    q, key, pow_ = ctx.q, _point_keys(ctx, E), ctx.pow
+    if q > 256:  # loaded only here: the array module adds to every process's memory
         from array import array
 
-        store = partial(array, "H")
-        table = store(itertools.repeat(0, q ** (d + 1)))
-    for x in range(q):
-        values = [0]  # of the non-leading part, over the codes so far
-        for i in range(d):
-            xi = ctx.pow(x, i)
-            blocks = (map(shift[ctx.mul(a, xi)].__getitem__, values) for a in range(q))
-            values = list(itertools.chain.from_iterable(blocks))
-        lead = shift[ctx.pow(x, d)]
-        table[x::q] = store(map([key[v] for v in lead].__getitem__, values))
-    return bytes(table) if E < 255 else table
+        table = array("H", bytes(2 * q ** (d + 1)))
+
+        def keys(column, keyed):
+            return array("H", map(keyed.__getitem__, column))
+    else:
+        table = bytearray(q ** (d + 1))
+
+        def keys(column, keyed):
+            return column.translate(bytes(keyed + [0] * (256 - q)))
+    for x, column in enumerate(_value_columns(ctx, d, pow_)):
+        table[x::q] = keys(column, [key[ctx.add(v, pow_(x, d))] for v in range(q)])
+    return table if q > 256 else bytes(table)
 
 
 def _point_keys(ctx: FieldCtx, E: int) -> list:

@@ -220,8 +220,11 @@ class CoverTuple:
         return dict(self.f)
 
     def check_units(self, ctx: FieldCtx, G: GroupSpec) -> None:
-        """The contract's first clause, which counting checks too: c in (F_q^*)^n."""
-        if len(self.c) != G.n or any(not 1 <= cj < ctx.q for cj in self.c):
+        """The contract's first clause, which counting checks too: c in
+        (F_q^*)^n, each c_j an int (as normalize_degrees demands of degrees)."""
+        if len(self.c) != G.n or any(
+            type(cj) is not int or not 1 <= cj < ctx.q for cj in self.c
+        ):
             raise DimensionMismatch("leading-coefficient vector invalid")
 
     def validate(self, ctx: FieldCtx, G: GroupSpec) -> None:

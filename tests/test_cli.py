@@ -15,7 +15,7 @@ from abelcover import cli, counting, moduli, polyring
 from abelcover.distribution import pattern_probability
 from abelcover.groupcomb import GroupSpec, beta_classes
 from abelcover.field import CharValue, character
-from abelcover.polyring import is_squarefree
+from abelcover.polyring import Polynomial, is_squarefree
 
 
 def run(capsys, *argv):
@@ -588,6 +588,23 @@ def test_verify_catches_a_sieve_that_keeps_a_square(monkeypatch, capsys):
         return flags
 
     monkeypatch.setattr(polyring, "_squarefree_flags", keeps_x_to_the_d)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL polyring (squarefree sieve disagrees" in capsys.readouterr().out
+
+
+def test_verify_catches_a_sieve_that_keeps_a_square_at_one(monkeypatch, capsys):
+    """(t - 1)^2 t^(d-2) has its double root at x = 1, where f(x) and f'(x)
+    vanish together: the column test, not the code-0 one above."""
+    real = polyring._squarefree_flags
+
+    def keeps_a_square_at_one(ctx, d):
+        flags = real(ctx, d)
+        if d >= 2:
+            f = Polynomial.x_minus(ctx, 1) ** 2 * Polynomial(ctx, [0] * (d - 2) + [1])
+            flags[sum(a * ctx.q**i for i, a in enumerate(f.coeffs[:-1]))] = 1
+        return flags
+
+    monkeypatch.setattr(polyring, "_squarefree_flags", keeps_a_square_at_one)
     assert cli.main(["verify"]) == 1
     assert "FAIL polyring (squarefree sieve disagrees" in capsys.readouterr().out
 

@@ -203,6 +203,20 @@ def test_counting_refuses_invalid_leading_units(f5, c):
             run(f5, G, t)
 
 
+@pytest.mark.parametrize("c", [(1.5, 1), (2.0, 1), (True, 1)])
+def test_leading_units_must_be_ints(f5, c):
+    """A float or bool unit in range is refused by validate and count_points
+    alike, with the contract's message, not a TypeError from dlog."""
+    G = GroupSpec((2, 2))
+    polys = dict.fromkeys(G.nonzero_vectors(), Polynomial.one(f5))
+    polys[(1, 1)] = Polynomial(f5, [1, 0, 1])
+    t = make_cover_tuple(c, polys)
+    message = "^leading-coefficient vector invalid$"
+    for run in (t.validate, partial(count_points, t=t)):
+        with pytest.raises(DimensionMismatch, match=message):
+            run(f5, G)
+
+
 def _divisor_chains(bound):
     """Every r = (r_1, ..., r_n), r_j >= 2, r_j | r_{j+1}, with |G| <= bound;
     the list grows as it is walked, one factor longer each time."""
@@ -768,6 +782,41 @@ def test_key_tables_match_horner_and_dlog(p, k):
             assert isinstance(table, bytes) and len(table) == q ** (d + 1)
             for code, f in enumerate(enumerate_monic(ctx, d)):
                 assert list(table[code * q : (code + 1) * q]) == horner_keys(ctx, E, f)
+
+
+def reference_key_table(ctx, E, d):
+    """The key table built per x from Python lists of q^d ints: the
+    literal reference for _key_table (bytes, as it is for q <= 16)."""
+    q, key = ctx.q, counting._point_keys(ctx, E)
+    shift = [[ctx.add(v, s) for v in range(q)] for s in range(q)]
+    table = bytearray(q ** (d + 1))
+    for x in range(q):
+        values = [0]  # of the non-leading part, over the codes so far
+        for i in range(d):
+            xi = ctx.pow(x, i)
+            blocks = (map(shift[ctx.mul(a, xi)].__getitem__, values) for a in range(q))
+            values = list(itertools.chain.from_iterable(blocks))
+        lead = shift[ctx.pow(x, d)]
+        table[x::q] = bytes(map([key[v] for v in lead].__getitem__, values))
+    return bytes(table)
+
+
+# Every field with q <= 16.
+SMALL_FIELDS = [
+    (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)
+]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_key_tables_match_the_list_reference(p, k):
+    """Byte equality with the per-x list builder for every E | q - 1 and
+    every d with q^(d+1) <= 2*10^5."""
+    ctx = make_field(p, k)
+    q, d = ctx.q, 0
+    while q ** (d + 1) <= 2 * 10**5:
+        for E in divisors(q - 1):
+            assert _key_table(ctx, E, d) == reference_key_table(ctx, E, d), (E, d)
+        d += 1
 
 
 def test_wide_key_table_matches_horner_and_dlog():
