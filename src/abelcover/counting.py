@@ -29,10 +29,11 @@ infinity beta = -d_vec and v = 0.  The one count rule, _count_above, adds
 the c-part (chi at the class of the leading units) and applies the
 dichotomy.  count_points (and eval_at) take one cover's keys from
 FieldCtx.values; the one walk, space_count_histogram, takes them from
-per-degree key tables (_key_table, one translate per x of polyring's value
-column) and, the other coordinates fixed, reads the packed
-count row (all classes of leading units) at x by one entry of column x of
-the innermost coordinate's table: no Python step per tuple.
+per-degree key tables (_key_table: bytes, one translate per x of polyring's
+value column, so walks need q <= 256) and, the other coordinates fixed,
+reads the packed count row (all classes of leading units) at x by one
+entry of column x of the innermost coordinate's table: no Python step per
+tuple.
 space_pattern_histogram is counted, not walked.
 """
 
@@ -210,8 +211,9 @@ def eval_at(
     ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x, check: bool = True
 ) -> PointEvaluation:
     """Value pattern and point count of the cover above x (finite or
-    INFINITY): the entry for x of count_points."""
-    return count_points(ctx, G, t, check=check).points[_point_index(ctx, x)]
+    INFINITY): the entry for x of count_points, with x checked first."""
+    index = _point_index(ctx, x)
+    return count_points(ctx, G, t, check=check).points[index]
 
 
 def count_points(
@@ -265,37 +267,28 @@ def oracle_count(ctx: FieldCtx, G: GroupSpec, t: CoverTuple, x: int) -> int:
 
 
 def _point_index(ctx: FieldCtx, x) -> int:
-    """Position of x in the point order 0, 1, ..., q-1, INFINITY."""
+    """Position of x in the point order 0, 1, ..., q-1, INFINITY.  A finite
+    point is an int (not a float or bool), as in CoverTuple.check_units."""
     if x == INFINITY:
         return ctx.q
-    if x not in range(ctx.q):
+    if type(x) is not int or not 0 <= x < ctx.q:
         raise DimensionMismatch(f"{x!r} is not a point of P^1(F_{ctx.q})")
     return x
 
 
-def _key_table(ctx: FieldCtx, E: int, d: int):
+def _key_table(ctx: FieldCtx, E: int, d: int) -> bytes:
     """The keys of every monic degree-d polynomial at every x, code-major:
     entry code * q + x is 0 where f(x) = 0, else 1 + dlog f(x) mod E, for the
     f of base-q code a_0 + a_1 q + ...  Per x the values of the non-leading
-    parts over all codes (polyring._value_columns, weights x^i) are mapped by
-    v -> key(v + x^d) and written to column x.  bytes for q <= 256, where
-    keys <= E <= q - 1 fit a byte; else an array of unsigned shorts."""
+    parts over all codes (polyring._value_columns, weights x^i, so q <= 256
+    and every key <= E <= q - 1 fits a byte) are mapped by v -> key(v + x^d)
+    and written to column x."""
     q, key, pow_ = ctx.q, _point_keys(ctx, E), ctx.pow
-    if q > 256:  # loaded only here: the array module adds to every process's memory
-        from array import array
-
-        table = array("H", bytes(2 * q ** (d + 1)))
-
-        def keys(column, keyed):
-            return array("H", map(keyed.__getitem__, column))
-    else:
-        table = bytearray(q ** (d + 1))
-
-        def keys(column, keyed):
-            return column.translate(bytes(keyed + [0] * (256 - q)))
+    table = bytearray(q ** (d + 1))
     for x, column in enumerate(_value_columns(ctx, d, pow_)):
-        table[x::q] = keys(column, [key[ctx.add(v, pow_(x, d))] for v in range(q)])
-    return table if q > 256 else bytes(table)
+        keyed = [key[ctx.add(v, pow_(x, d))] for v in range(q)]
+        table[x::q] = column.translate(bytes(keyed + [0] * (256 - q)))
+    return bytes(table)
 
 
 def _point_keys(ctx: FieldCtx, E: int) -> list:
@@ -441,10 +434,13 @@ def space_count_histogram(ctx: FieldCtx, G: GroupSpec, dv: DegreeVector) -> Coun
         finite = enumerate_coprime_tuples(ctx, degmap, key_row, _each=totals)
         try:
             tally.update(map(infinity.__add__, finite))
-        except MultipleVanishing:
-            for polys in enumerate_coprime_tuples(ctx, degmap):  # names the point
-                _component_point_data(ctx, G, polys)
-            raise
+        except MultipleVanishing as exc:  # coprime tuples share no root: a bug
+            try:
+                for polys in enumerate_coprime_tuples(ctx, degmap):  # names the point
+                    _component_point_data(ctx, G, polys)
+            except MultipleVanishing as named:
+                raise InternalInconsistency(str(named)) from named
+            raise InternalInconsistency(str(exc)) from exc
     weight, out = (q - 1) ** G.n // G.size, Counter()
     for row, m in tally.items():
         for k in range(G.size):

@@ -95,8 +95,12 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, k: int):
+        if type(k) is not int:  # type, not isinstance: a bool k is refused too
+            raise TooLarge(f"k must be an int, got {k!r}")
         if k < 1:
             raise TooLarge(f"k must be positive, got {k}")
+        if type(p) is not int:
+            raise NotPrime(f"{p!r} is not prime")
         # Size first, with no huge p**k: trial division of a large p is slow.
         if p > 1 and (k > TABLE_BUDGET.bit_length() - 1 or p**k > TABLE_BUDGET):
             raise TooLarge(f"q = {p}^{k} exceeds table budget {TABLE_BUDGET}")

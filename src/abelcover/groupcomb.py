@@ -24,7 +24,7 @@ class GroupSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", tuple(self.r))
-        if not self.r or any(rj < 2 for rj in self.r):
+        if not self.r or any(type(rj) is not int or rj < 2 for rj in self.r):
             raise BadDivisor(f"invalid cycle structure {self.r}")
         for a, b in zip(self.r, self.r[1:]):
             if b % a:

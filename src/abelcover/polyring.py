@@ -5,22 +5,22 @@ Polynomials are coefficient tuples, low degree first, trailing zeros stripped.
 Enumeration streams are deterministic: candidates of a fixed degree are
 ordered by the base-q integer a_0 + a_1*q + ... of their non-leading
 coefficients.  Tables over all codes of a degree are built in that order
-without a Python step per code: a value column (_value_columns) is joined
-from translated copies of itself, one digit at a time, and the squarefree
-flags read the double roots t - x off the columns of f(x) and f'(x).
+without a Python step per code, as bytes: a value column (_value_columns)
+is joined from translated copies of itself, one digit at a time, and the
+squarefree flags read the double roots t - x off the columns of f(x) and
+f'(x).  So every enumeration needs q <= 256; over a larger q the value
+columns raise TooLarge.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import (
-    chain, combinations_with_replacement, compress, groupby, product, repeat
-)
+from itertools import combinations_with_replacement, compress, groupby, product, repeat
 from math import comb, factorial, prod
 from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
-from .errors import FieldMismatch, ZeroPolynomial
+from .errors import FieldMismatch, TooLarge, ZeroPolynomial
 from .numtheory import count_irreducibles
 
 if TYPE_CHECKING:  # field builds F_{p^k} from this module
@@ -224,23 +224,20 @@ def _monic_maker(ctx: FieldCtx, degrees) -> Callable[[int, int], Polynomial]:
 
 def _value_columns(ctx: FieldCtx, d: int, weight: Callable[[int, int], int]) -> Iterator:
     """Per x in F_q, the values sum_(i<d) a_i * weight(x, i) of every monic
-    degree-d code a_0 + a_1 q + ..., in code order: bytes for q <= 256, else
-    a list.  Built digit by digit: the block for digit a is the column so
-    far shifted by a * weight(x, i), by one translate, and the q blocks are
-    joined."""
+    degree-d code a_0 + a_1 q + ..., in code order, as bytes.  Built digit
+    by digit: the block for digit a is the column so far shifted by
+    a * weight(x, i), by one translate, and the q blocks are joined.  The one
+    check of the byte format of every enumeration table: over q > 256 this
+    raises TooLarge, at the first column."""
     q, add, mul = ctx.q, ctx.add, ctx.mul
-    if q <= 256:
-        shift = [bytes([add(v, s) for v in range(q)] + [0] * (256 - q)) for s in range(q)]
-        start, step, join = b"\0", bytes.translate, b"".join
-    else:
-        shift = [[add(v, s) for v in range(q)] for s in range(q)]
-        start, step = [0], lambda column, row: map(row.__getitem__, column)
-        join = lambda blocks: list(chain.from_iterable(blocks))
+    if q > 256:
+        raise TooLarge(f"enumeration tables hold one field element per byte: q = {q} > 256")
+    shift = [bytes([add(v, s) for v in range(q)] + [0] * (256 - q)) for s in range(q)]
     for x in range(q):
-        column = start
+        column = b"\0"
         for i in range(d):
             w = weight(x, i)
-            column = join([step(column, shift[mul(a, w)]) for a in range(q)])
+            column = b"".join([column.translate(shift[mul(a, w)]) for a in range(q)])
         yield column
 
 
@@ -297,18 +294,10 @@ def _irreducibles(ctx: FieldCtx, m: int, found: dict) -> list[Polynomial]:
 
 def _squarefree_flags(ctx: FieldCtx, d: int) -> bytearray:
     """Flag per monic degree-d code: cleared on P^2 g for every monic
-    irreducible P with 2 deg P <= d.  For q <= 256 the linear P = t - x are
-    read off the value columns, since (t - x)^2 | f iff f(x) = 0 = f'(x);
-    the others go through _sieve."""
-    q, found = ctx.q, {}
-    wide = q > 256  # values do not fit a byte: sieve the linear P too
-    small = (
-        P for m in range(1 if wide else 2, d // 2 + 1) for P in _irreducibles(ctx, m, found)
-    )
-    flags = _sieve(ctx, d, [P * P for P in small])
-    if wide:
-        return flags
-    p, pow_, mul, neg = ctx.p, ctx.pow, ctx.mul, ctx.neg
+    irreducible P with 2 deg P <= d.  The linear P = t - x are read off the
+    value columns, since (t - x)^2 | f iff f(x) = 0 = f'(x), before the
+    others go through _sieve."""
+    q, p, pow_, mul, neg = ctx.q, ctx.p, ctx.pow, ctx.mul, ctx.neg
 
     def slope(x: int, i: int) -> int:  # the weight of a_i in f'(x), i read mod p
         return mul(i % p, pow_(x, i - 1)) if i else 0
@@ -321,6 +310,9 @@ def _squarefree_flags(ctx: FieldCtx, d: int) -> bytearray:
     values, slopes = _value_columns(ctx, d, pow_), _value_columns(ctx, d, slope)
     for x, f, df in zip(range(q), values, slopes):
         doubled |= zeros(f, pow_(x, d)) & zeros(df, slope(x, d))
+    found: dict = {}
+    small = (P for m in range(2, d // 2 + 1) for P in _irreducibles(ctx, m, found))
+    flags = _sieve(ctx, d, [P * P for P in small])
     kept = int.from_bytes(flags, "big") & ~doubled
     return bytearray(kept.to_bytes(len(flags), "big"))
 

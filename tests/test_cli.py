@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +125,38 @@ def test_a_dichotomy_fault_is_an_internal_error(monkeypatch, capsys):
     lines = []
     assert cli.run_verification(only="oracle", out=lines.append) == 1
     assert lines[0].startswith("FAIL oracle (cyclotomic sum disagrees")
+
+
+def test_a_walk_that_breaks_coprimality_is_an_internal_error(capsys, monkeypatch):
+    """The coprime walk yields no two f_alpha with a common root, so when it
+    does (factor masks zeroed) the code is at fault: exit 1, not 2, with
+    the point named."""
+    real = polyring._factor_masks
+
+    def zeroed(ctx, degrees, top):
+        return {d: [0] * len(masks) for d, masks in real(ctx, degrees, top).items()}
+
+    monkeypatch.setattr(polyring, "_factor_masks", zeroed)
+    degrees = '{"1,0": 1, "0,1": 1, "1,1": 1}'
+    argv = ["distribution", "--p", "5", "--r", "2,2", "--degrees", degrees]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "internal error: 3 polynomials vanish at 0\n")
+
+
+def test_enumeration_needs_q_at_most_256(capsys):
+    """Enumerate mode refuses F_257 with one error line; count and sample
+    mode, which walk nothing, still run there."""
+    field = ["--p", "257", "--r", "256"]
+    code, out, err = run(capsys, "distribution", *field, "--degrees", "{}")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration tables hold one field element per byte: q = 257 > 256\n"
+    code, out, _ = run(capsys, "count", *field, "--c", "[3]", "--f", "{}")
+    assert code == 0 and len(json.loads(out)["points"]) == 258
+    code, out, _ = run(
+        capsys, "distribution", "--p", "257", "--r", "2", "--degrees", '{"1": 2}',
+        "--mode", "sample", "--draws", "5",
+    )
+    assert code == 0 and out.startswith("value,empirical_num,")
 
 
 def test_count_rejects_wrong_length_alpha(capsys):
@@ -424,6 +457,22 @@ def test_readme_layout_names_only_defined_helpers():
     }
     assert "_plan" in named
     assert named <= defined, sorted(named - defined)
+
+
+def test_no_module_defines_a_top_level_name_twice():
+    """A second top-level def or class of a name silently replaces the
+    first; of two tests of one name pytest collects only the last."""
+    root = Path(__file__).resolve().parents[1]
+    folders = [root / "src" / "abelcover", root / "tests", root / "bench"]
+    paths = sorted(path for folder in folders for path in folder.glob("*.py"))
+    repeated = []
+    for path in paths:
+        body = ast.parse(path.read_text()).body
+        names = Counter(
+            node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+        repeated += [f"{path.name}: {name}" for name, n in names.items() if n > 1]
+    assert len(paths) > 20 and not repeated, repeated
 
 
 def test_verify_only_filter():

@@ -34,6 +34,7 @@ from abelcover.errors import (
     InternalInconsistency,
     MultipleVanishing,
     RamifiedPoint,
+    TooLarge,
 )
 from abelcover.field import CharValue, character, make_field
 from abelcover.groupcomb import (
@@ -123,7 +124,8 @@ def test_eval_rejects_common_roots(f5):
 def test_bulk_walk_rejects_common_roots_where_masks_let_them_through(f5, monkeypatch):
     """With the factor masks zeroed the coprime walk also yields tuples with
     common roots; the bulk histogram refuses the first, (x, x, x), where
-    its state is made, rather than reading a row that no coprime tuple has."""
+    its state is made, rather than reading a row that no coprime tuple has,
+    and reports it as a fault of the walk, not of the input."""
     real = polyring._factor_masks
 
     def zeroed(ctx, degrees, top):
@@ -132,7 +134,7 @@ def test_bulk_walk_rejects_common_roots_where_masks_let_them_through(f5, monkeyp
     monkeypatch.setattr(polyring, "_factor_masks", zeroed)
     G = GroupSpec((2, 2))
     dv = normalize_degrees(G, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
-    with pytest.raises(MultipleVanishing, match="^3 polynomials vanish at 0$"):
+    with pytest.raises(InternalInconsistency, match="^3 polynomials vanish at 0$"):
         space_count_histogram(f5, G, dv)
 
 
@@ -530,15 +532,19 @@ def test_sampled_reports_are_pinned(p, k, r, raw, seed, expected):
         assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == expected
 
 
-def test_eval_rejects_points_outside_the_line(f5):
+def test_eval_rejects_points_outside_the_line(f5, monkeypatch):
+    """A finite point is an int in [0, q): 1.0 and True are not x = 1, and
+    eval_at refuses a bad x before it counts the cover."""
     G = GroupSpec((2,))
-    t = hyper(f5, 1, [1, 0, 1])
+    t, dv = hyper(f5, 1, [1, 0, 1]), normalize_degrees(G, {(1,): 2})
     assert eval_at(f5, G, t, INFINITY) == count_points(f5, G, t).points[-1]
-    for x in (-1, 5):
-        with pytest.raises(DimensionMismatch):
+    monkeypatch.setattr(counting, "count_points", None)
+    message = r"is not a point of P\^1\(F_5\)$"
+    for x in (1.0, True, 2.5, -1, 5):
+        with pytest.raises(DimensionMismatch, match=message):
             eval_at(f5, G, t, x)
-    with pytest.raises(DimensionMismatch):
-        space_pattern_histogram(f5, G, normalize_degrees(G, {(1,): 2}), 5)
+        with pytest.raises(DimensionMismatch, match=message):
+            space_pattern_histogram(f5, G, dv, x)
 
 
 @pytest.mark.parametrize(
@@ -819,13 +825,24 @@ def test_key_tables_match_the_list_reference(p, k):
         d += 1
 
 
-def test_wide_key_table_matches_horner_and_dlog():
-    """exp(G) = 256 over F_257: keys up to 256 need the wide storage."""
-    ctx = make_field(257)
-    q = ctx.q
-    for d in (0, 1):
-        table = _key_table(ctx, 256, d)
-        assert table.typecode == "H" and len(table) == q ** (d + 1)
-        for code, f in enumerate(enumerate_monic(ctx, d)):
-            assert list(table[code * q : (code + 1) * q]) == horner_keys(ctx, 256, f)
-    assert max(table) == 256
+def test_enumeration_over_q_above_256_is_refused():
+    """Every enumeration table holds a field element per byte, so over
+    F_257 the walk, each enumeration and the key table raise TooLarge,
+    naming q and 256, while counting without a walk goes on."""
+    ctx, G = make_field(257), GroupSpec((256,))
+    dv = normalize_degrees(G, {})
+    refused = [
+        lambda: space_count_histogram(ctx, G, dv),
+        lambda: list(enumerate_space(ctx, G, dv)),
+        lambda: list(polyring.enumerate_coprime_tuples(ctx, {"a": 0, "b": 1})),
+        lambda: list(polyring.enumerate_squarefree(ctx, 1)),
+        lambda: _key_table(ctx, 256, 0),
+    ]
+    for run in refused:
+        with pytest.raises(TooLarge, match="q = 257 > 256$"):
+            run()
+    G2 = GroupSpec((2,))
+    dv2 = normalize_degrees(G2, {(1,): 2})
+    size = sum(component_sizes(ctx, G2, dv2).values())
+    assert sum(space_pattern_histogram(ctx, G2, dv2, 0).values()) == size
+    assert count_points(ctx, G2, hyper(ctx, 3, [1, 0, 1])).trace == 0  # a conic

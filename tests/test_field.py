@@ -69,6 +69,21 @@ def test_rejects_an_extension_degree_below_one(k):
         make_field(5, k)
 
 
+@pytest.mark.parametrize(
+    "p,k,error,message",
+    [
+        (5.0, 1, NotPrime, "^5.0 is not prime$"),
+        ("5", 1, NotPrime, "^'5' is not prime$"),
+        (True, 1, NotPrime, "^True is not prime$"),
+        (5, True, TooLarge, "^k must be an int, got True$"),
+        (5, 2.0, TooLarge, "^k must be an int, got 2.0$"),
+    ],
+)
+def test_field_arguments_must_be_ints(p, k, error, message):
+    with pytest.raises(error, match=message):
+        make_field(p, k)
+
+
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
 def test_zero_has_no_inverse_or_dlog(p, k):
     ctx = make_field(p, k)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,13 @@ def test_chain_condition_enforced():
         GroupSpec((1, 2))
     with pytest.raises(BadDivisor):
         GroupSpec(())
+
+
+@pytest.mark.parametrize("r", [(2.0,), (2, 4.0), ("2",), (2, True), (2, None)])
+def test_cycle_orders_must_be_ints(r):
+    message = re.escape(f"invalid cycle structure {r}")
+    with pytest.raises(BadDivisor, match=f"^{message}$"):
+        GroupSpec(r)
 
 
 def test_group_basic_attributes():

@@ -277,33 +277,6 @@ def test_squarefree_sieve_matches_gcd_filter(p, k):
         assert list(enumerate_squarefree(ctx, d)) == gcd_filtered(ctx, d), d
 
 
-def reference_squarefree_flags(ctx, d):
-    """The flags sieved only by _multiples: cleared on the multiples of P^2
-    for every monic irreducible P with 2 deg P <= d.  The literal reference
-    for _squarefree_flags."""
-    found, flags = {}, bytearray(b"\x01") * ctx.q**d
-    for m in range(1, d // 2 + 1):
-        for P in polyring._irreducibles(ctx, m, found):
-            for code in polyring._multiples(ctx, d, P * P):
-                flags[code] = 0
-    return flags
-
-
-@pytest.mark.parametrize(
-    "p,k",
-    [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)],
-)
-def test_squarefree_flags_match_the_multiples_reference(p, k):
-    """Byte equality with the P^2 sieve on every field with q <= 16, for
-    every d with q^(d+1) <= 2*10^5."""
-    ctx = make_field(p, k)
-    q, d = ctx.q, 0
-    while q ** (d + 1) <= 2 * 10**5:
-        flags = polyring._squarefree_flags(ctx, d)
-        assert isinstance(flags, bytearray) and flags == reference_squarefree_flags(ctx, d), d
-        d += 1
-
-
 @pytest.mark.parametrize(
     "p,k,top",
     [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (7, 1, 3), (2, 3, 3), (3, 2, 3)],
